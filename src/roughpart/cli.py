@@ -617,8 +617,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random-count", type=int, default=50,
                    help="number of random fixtures (default: 50)")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; the result does not depend on "
-                        "this (default: 1)")
+                   help="accepted for compatibility; tasks always run "
+                        "sequentially (default: 1)")
     p.set_defaults(fn=cmd_verify)
     return parser
 

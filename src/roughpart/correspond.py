@@ -33,6 +33,7 @@ from .core import (
     Universe,
     _check_cap,
     binding,
+    image_table,
 )
 from .approx import (
     graded_lower,
@@ -108,13 +109,14 @@ def _build(universe: Universe, granulation: Granulation, alpha: Fraction,
         raise ValueError("granulation belongs to a different universe")
     measure = vprs_star_upper if side == "upper" else vprs_star_lower
     thresh = upper_threshold if side == "upper" else lower_threshold
+    via_measure = image_table(
+        universe, lambda x: measure(x, granulation, None, alpha))
     by_threshold: dict[int, list[tuple[ESet, bool]]] = {}
-    for m in range(universe.full_mask + 1):
+    for m, image in enumerate(via_measure):
         x = ESet(universe, m)
         t = thresh(x, alpha)
-        via_measure = measure(x, granulation, None, alpha)
         via_count = _threshold_route(x, granulation, t)
-        by_threshold.setdefault(t, []).append((x, via_measure == via_count))
+        by_threshold.setdefault(t, []).append((x, image == via_count.mask))
     blocks = []
     for t in sorted(by_threshold):
         entries = by_threshold[t]
@@ -128,11 +130,10 @@ def _build(universe: Universe, granulation: Granulation, alpha: Fraction,
     if side == "lower":
         agree = 0
         total = universe.full_mask + 1
-        for m in range(total):
+        for m, image in enumerate(via_measure):
             x = ESet(universe, m)
             deficit = x.cardinality - lower_threshold(x, alpha)
-            via_deficit = graded_lower(x, granulation, deficit)
-            if via_deficit == measure(x, granulation, None, alpha):
+            if graded_lower(x, granulation, deficit).mask == image:
                 agree += 1
         note += (f"; deficit literal agrees with the measure route on "
                  f"{agree}/{total} subsets")

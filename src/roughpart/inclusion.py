@@ -18,6 +18,7 @@ axioms that any [0, 1]-valued measure must respect.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -215,33 +216,6 @@ def eval_cgrif(a: ESet, b: ESet, sigma: str, pi: str,
     return Fraction((fa & fb).cardinality, da.cardinality)
 
 
-def kappa_bgrif(sigma: str, pi: str, lower: Callable[[ESet], ESet],
-                upper: Callable[[ESet], ESet]) -> InclusionFn:
-    """Package :func:`eval_bgrif` as an :class:`InclusionFn`, memoizing
-    the operator images per mask."""
-    _pick(sigma, lower, upper)
-    _pick(pi, lower, upper)
-    memo: dict[tuple[str, int], int] = {}
-
-    def image(universe: Universe, side: str, mask: int) -> int:
-        key = (side, mask)
-        got = memo.get(key)
-        if got is None:
-            got = _pick(side, lower, upper)(ESet(universe, mask)).mask
-            memo[key] = got
-        return got
-
-    def fn(universe: Universe, am: int, bm: int) -> Fraction:
-        fa = image(universe, sigma, am)
-        fb = image(universe, pi, bm)
-        if fa == 0:
-            return ONE
-        return Fraction((fa & fb).bit_count(), fa.bit_count())
-
-    return InclusionFn(f"nu_{sigma}{pi}", fn,
-                       (("sigma", sigma), ("pi", pi)))
-
-
 def dependence_degree(a: ESet, b: ESet) -> Fraction:
     """Signed deviation of the overlap from independence under the uniform
     distribution on the universe."""
@@ -263,23 +237,6 @@ def default_delta_sweep(size: int) -> tuple[Fraction, ...]:
         for p in range(q + 1):
             grid.add(Fraction(p, q))
     return tuple(sorted(grid))
-
-
-class _Vals:
-    """Per-universe cache of inclusion values keyed by mask pairs."""
-
-    def __init__(self, kappa: InclusionFn, universe: Universe) -> None:
-        self.kappa = kappa
-        self.universe = universe
-        self.cache: dict[tuple[int, int], Fraction] = {}
-
-    def __call__(self, am: int, bm: int) -> Fraction:
-        key = (am, bm)
-        v = self.cache.get(key)
-        if v is None:
-            v = self.kappa.on_masks(self.universe, am, bm)
-            self.cache[key] = v
-        return v
 
 
 def _wit(universe: Universe, delta: Fraction | None = None,
@@ -641,7 +598,7 @@ def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
                            universe.size, tuple(params))
 
     _check_cap(universe.size, cap, override, f"the {axiom_id} sweep")
-    val = _Vals(kappa, universe)
+    val = functools.cache(functools.partial(kappa.on_masks, universe))
     found = _SWEEPERS[axiom_id](val, universe, deltas, max_witnesses)
     return CheckReport(axiom_id, not found, tuple(found),
                        universe.size, tuple(params))

@@ -30,6 +30,7 @@ from .core import (
     Witness,
     _check_cap,
     binding,
+    image_table,
 )
 from .approx import (
     require_alpha,
@@ -132,9 +133,6 @@ def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
     full = universe.full_mask
     masks = range(full + 1)
 
-    def image_map(op) -> list[int]:
-        return [op(ESet(universe, m)).mask for m in masks]
-
     pred: Callable[[int, int], bool]
     if tag == "s3":
         def pred(am, bm):
@@ -152,7 +150,8 @@ def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
         def pred(am, bm):
             return am & ~bm == 0 and any(t & ~am == 0 for t in tmasks)
     elif tag in ("s5", "s0l"):
-        lo = image_map(lambda x: vprs_lower(x, granulation, kap, alpha))
+        lo = image_table(
+            universe, lambda x: vprs_lower(x, granulation, kap, alpha))
         if tag == "s5":
             def pred(am, bm):
                 return lo[am] & ~lo[bm] == 0
@@ -163,14 +162,16 @@ def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
                 return lo[am] & ~lo[bm] == 0 and \
                     kap.on_masks(universe, am, bm) >= need
     elif tag == "s5*":
-        lo = image_map(lambda x: vprs_star_lower(x, granulation, kap, alpha))
+        lo = image_table(
+            universe, lambda x: vprs_star_lower(x, granulation, kap, alpha))
 
         def pred(am, bm):
             return lo[am] & ~lo[bm] == 0
     elif tag == "s7":
         # Same intent as s5, rebuilt granule by granule instead of through
         # the lower-approximation images; the two routes must agree.
-        lo = image_map(lambda x: vprs_lower(x, granulation, kap, alpha))
+        lo = image_table(
+            universe, lambda x: vprs_lower(x, granulation, kap, alpha))
         need = 1 - alpha
         gmasks = granulation.masks
 
@@ -194,7 +195,8 @@ def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
         def pred(am, bm):
             return alpha_at_least[am] & ~alpha_at_least[bm] == 0
     elif tag in ("s0u", "pu"):
-        up = image_map(lambda x: vprs_upper(x, granulation, kap, alpha))
+        up = image_table(
+            universe, lambda x: vprs_upper(x, granulation, kap, alpha))
         if tag == "pu":
             def pred(am, bm):
                 return up[am] & ~up[bm] == 0
@@ -232,10 +234,11 @@ def build_pu(universe: Universe, granulation: Granulation, *,
     relation = build_parthood("pu", universe, granulation, kappa=kappa,
                               alpha=alpha, cap=cap, override=override)
     kap = kappa if kappa is not None else kappa_k0()
+    alpha = require_alpha(alpha)
+    up = image_table(
+        universe, lambda x: vprs_upper(x, granulation, kap, alpha))
     groups: dict[int, list[int]] = {}
-    for m in range(universe.full_mask + 1):
-        value = vprs_upper(ESet(universe, m), granulation, kap,
-                           require_alpha(alpha)).mask
+    for m, value in enumerate(up):
         groups.setdefault(value, []).append(m)
     ordered = sorted(groups.items(), key=lambda kv: min(kv[1]))
     classes = tuple(

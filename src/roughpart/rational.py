@@ -38,6 +38,8 @@ from .core import (
     Universe,
     _check_cap,
     binding,
+    image_table,
+    iter_submasks,
 )
 from .parthood import ParthoodRelation, analyze_properties
 
@@ -71,12 +73,8 @@ def _as_predicate(substantial: Substantial | ParthoodRelation) -> Substantial:
 
 
 def _nonempty_definites(universe: Universe, lower: Operator) -> list[ESet]:
-    out = []
-    for m in range(1, universe.full_mask + 1):
-        x = ESet(universe, m)
-        if lower(x) == x:
-            out.append(x)
-    return out
+    lo = image_table(universe, lower)
+    return [ESet(universe, m) for m in range(1, len(lo)) if lo[m] == m]
 
 
 def rational_lower(a: ESet, lower: Operator,
@@ -146,8 +144,7 @@ def rational_upper(a: ESet, upper: Operator, lower: Operator,
     _check_cap(universe.size * 2, cap, override,
                "the rational upper search")
     preimage: dict[int, int] = {}
-    for m in range(universe.full_mask + 1):
-        v = upper(ESet(universe, m)).mask
+    for m, v in enumerate(image_table(universe, upper)):
         preimage.setdefault(v, m)
     definites = _nonempty_definites(universe, lower)
     aup = upper(a)
@@ -219,19 +216,13 @@ def check_rational_proposition(universe: Universe, lower: Operator,
 
     full = universe.full_mask
     masks = range(full + 1)
-    lower_laws = True
-    for m in masks:
-        x = ESet(universe, m)
-        lx = lower(x)
-        if not lx <= x or lower(lx) != lx:
-            lower_laws = False
-            break
-        for mm in masks:
-            if m & ~mm == 0 and not lx <= lower(ESet(universe, mm)):
-                lower_laws = False
-                break
-        if not lower_laws:
-            break
+    lo = image_table(universe, lower)
+    # Deflationary, idempotent and monotone: each superset of a set keeps
+    # its lower image.
+    lower_laws = all(
+        lo[m] & ~m == 0 and lo[lo[m]] == lo[m]
+        and all(lo[m] & ~lo[m | s] == 0 for s in iter_submasks(full & ~m))
+        for m in masks)
 
     hypothesis = all(hyp_parts.values()) and lower_laws
     hyp_params = tuple(
@@ -249,62 +240,51 @@ def check_rational_proposition(universe: Universe, lower: Operator,
         assert value is not None
         return value
 
-    fails = []
-    for m in masks:
-        x = ESet(universe, m)
-        v = rl(x)
-        if rl(v) != v:
-            fails.append((binding("a", x),))
+    def ev(m: int) -> ESet:
+        return ESet(universe, m)
+
+    rlo = image_table(universe, rl)
+    fails = [(binding("a", ev(m)),) for m in masks if rlo[rlo[m]] != rlo[m]]
     reports.append(CheckReport("idempotent", not fails, tuple(fails[:3]),
                                universe.size, gate))
 
-    fails = []
-    for m in masks:
-        x = ESet(universe, m)
-        if not rl(x) <= lower(x):
-            fails.append((binding("a", x),))
+    fails = [(binding("a", ev(m)),) for m in masks if rlo[m] & ~lo[m]]
     reports.append(CheckReport("lower-compatible", not fails,
                                tuple(fails[:3]), universe.size, gate))
 
     fails = []
-    for mm in masks:
-        b = ESet(universe, mm)
-        vb = rl(b)
-        for m in range(mm + 1):
-            if m & ~mm == 0:
-                a = ESet(universe, m)
-                if not ps(rl(a), vb):
-                    fails.append((binding("a", a), binding("b", b)))
-                    break
+    for b in masks:
+        for a in iter_submasks(b):
+            if not ps(ev(rlo[a]), ev(rlo[b])):
+                fails.append((binding("a", ev(a)), binding("b", ev(b))))
+                break
         if fails:
             break
     reports.append(CheckReport("s-monotone", not fails, tuple(fails[:3]),
                                universe.size, gate))
 
-    fails = []
-    for m in masks:
-        x = ESet(universe, m)
-        if not ps(rl(x), lower(x)):
-            fails.append((binding("a", x),))
+    fails = [(binding("a", ev(m)),) for m in masks
+             if not ps(ev(rlo[m]), ev(lo[m]))]
     reports.append(CheckReport(
         "lower-compatible-open", not fails, tuple(fails[:3]), universe.size,
         gate + (("status", "open question; reported, not asserted"),)))
 
     if upper is not None:
+        up = image_table(universe, upper)
         defined = 0
         fails = []
         open_fails = []
         for m in masks:
-            x = ESet(universe, m)
+            x = ev(m)
             res = rational_upper(x, upper, lower, ps, cap=cap,
                                  override=override)
             if not res.defined:
                 continue
             defined += 1
             assert res.value is not None
-            if not res.value <= upper(x):
+            if res.value.mask & ~up[m]:
                 fails.append((binding("a", x),))
-            if not ps(res.value, upper(x)):
+            if not ps(res.value, ev(up[m])):
                 open_fails.append((binding("a", x),))
         coverage = (("defined-points", f"{defined}/{full + 1}"),)
         reports.append(CheckReport("upper-compatible", not fails,

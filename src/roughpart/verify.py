@@ -12,15 +12,15 @@ failure.
 
 The standard battery is the four-element worked fixture plus seeded random
 granulations of sizes three to six. All sweeps are exhaustive over their
-battery, arithmetic is exact, and the output is byte-deterministic: task
-results are merged in a fixed order regardless of the thread count.
+battery, arithmetic is exact, and the output is byte-deterministic: tasks
+run sequentially and their results are merged in a fixed order.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -37,6 +37,7 @@ from .core import (
     build_neighborhood_granulation,
     check_admissibility,
     check_ggs_axioms,
+    image_table,
     iter_submasks,
     neighborhood_map,
 )
@@ -310,27 +311,15 @@ def _kappa_from_tag(tag: str) -> InclusionFn:
         f"unknown measure tag {tag!r}; valid tags: K0, K1, K2, Kst(s,t)")
 
 
-_CLASS_CACHE: dict[tuple[str, int], tuple[str, ...]] = {}
-_RI_GATE_CACHE: dict[tuple[str, int, str], bool] = {}
+@functools.cache
+def _class_tags(ktag: str, size: int) -> tuple[str, ...]:
+    return classify_rif(_kappa_from_tag(ktag), _universe_of(size))
 
 
-def _class_tags(kap: InclusionFn, size: int) -> tuple[str, ...]:
-    key = (kap.describe(), size)
-    got = _CLASS_CACHE.get(key)
-    if got is None:
-        got = classify_rif(kap, _universe_of(size))
-        _CLASS_CACHE[key] = got
-    return got
-
-
-def _ri_gate(kap: InclusionFn, size: int, delta: Fraction) -> bool:
-    key = (kap.describe(), size, str(delta))
-    got = _RI_GATE_CACHE.get(key)
-    if got is None:
-        got = check_axiom(kap, "RI", _universe_of(size), delta=delta,
-                          max_witnesses=1).holds
-        _RI_GATE_CACHE[key] = got
-    return got
+@functools.cache
+def _ri_gate(ktag: str, size: int, delta: Fraction) -> bool:
+    return check_axiom(_kappa_from_tag(ktag), "RI", _universe_of(size),
+                       delta=delta, max_witnesses=1).holds
 
 
 class _OpArrays:
@@ -415,7 +404,7 @@ def _vprs_alpha_task(fixture: Fixture, ktag: str, kap: InclusionFn,
                     ce("lA-capc", a=a, b=b)
 
         gate = ((f"class[{ktag},n={universe.size}]",
-                 ",".join(_class_tags(kap, universe.size)) or "none"),)
+                 ",".join(_class_tags(ktag, universe.size)) or "none"),)
         return [_Eval(c, checked[c], ces[c], gate) for c in clauses]
 
     return key, run
@@ -461,7 +450,7 @@ def _vprs_star_task(fixture: Fixture, ktag: str, kap: InclusionFn,
                         ce("uA-cmo*", a=x, b=b)
 
         gate = ((f"class[{ktag},n={universe.size}]",
-                 ",".join(_class_tags(kap, universe.size)) or "none"),)
+                 ",".join(_class_tags(ktag, universe.size)) or "none"),)
         return [_Eval(c, checked[c], ces[c], gate) for c in clauses]
 
     return key, run
@@ -486,7 +475,7 @@ def _ri_cap_task(fixture: Fixture, ktag: str, kap: InclusionFn,
                         fixture.name, kap.describe(), str(alpha),
                         _wit(universe, a=a, b=b)))
         delta = 1 - alpha
-        gate_ok = _ri_gate(kap, universe.size, delta)
+        gate_ok = _ri_gate(ktag, universe.size, delta)
         gate = ((f"RI[{ktag},n={universe.size},delta={delta}]",
                  "holds" if gate_ok else "fails"),)
         return [_Eval("lARI-cap", checked, ces, gate)]
@@ -501,10 +490,10 @@ def _grif_task(fixture: Fixture) -> Task:
         universe = fixture.universe
         g = fixture.granulation
         full = universe.full_mask
-        cl = [classical_lower(ESet(universe, m), g).mask
-              for m in range(full + 1)]
-        cu = [classical_upper(ESet(universe, m), g).mask
-              for m in range(full + 1)]
+        lo_op = lambda s: classical_lower(s, g)
+        up_op = lambda s: classical_upper(s, g)
+        cl = image_table(universe, lo_op)
+        cu = image_table(universe, up_op)
         img = {"l": cl, "u": cu}
         clauses = ("ulu2", "llu2", "mo", "refl", "bot", "top",
                    "route-agreement")
@@ -537,8 +526,6 @@ def _grif_task(fixture: Fixture) -> Task:
                         ce("mo", b=b, e=e,
                            extra=(("side", (side,)),))
         # The light clauses go through the public evaluation route.
-        lo_op = lambda s: classical_lower(s, g)
-        up_op = lambda s: classical_upper(s, g)
         empty = universe.empty
         top_set = universe.full
         top_definite = cl[full] == full and cu[full] == full
@@ -612,16 +599,16 @@ def _rif_axioms_task() -> Task:
             "reproduced at threshold 1/5" if reproduced
             else "did not reproduce", reproduced))
 
-        tags_unit = _class_tags(kappa_st(Fraction(1, 5), Fraction(1)), 5)
+        tags_unit = _class_tags("Kst(1/5,1)", 5)
         evals.append(_Eval("kst-unit-top-qrif", 1, [], (),
                            "classes: " + ",".join(tags_unit),
                            "qRIF" in tags_unit))
-        tags_mid = _class_tags(kappa_st(Fraction(1, 5), Fraction(4, 5)), 5)
+        tags_mid = _class_tags("Kst(1/5,4/5)", 5)
         ok_mid = ("wqRIF" in tags_mid and "pRIF" in tags_mid
                   and "qRIF" not in tags_mid)
         evals.append(_Eval("kst-mid-wqrif", 1, [], (),
                            "classes: " + ",".join(tags_mid), ok_mid))
-        ok_k0 = all(_class_tags(k0, n) == ("gRIF", "pRIF", "qRIF", "wqRIF")
+        ok_k0 = all(_class_tags("K0", n) == ("gRIF", "pRIF", "qRIF", "wqRIF")
                     for n in (4, 5))
         evals.append(_Eval("k0-classes", 2, [], (),
                            "all four classes on sizes 4 and 5" if ok_k0
@@ -1155,8 +1142,9 @@ def run_theorem_suite(suite_id: str, *, seed: int = 0,
                       ) -> SuiteResult:
     """Run one verification suite (or ``all``) over the battery.
 
-    The result is independent of ``threads``: tasks are deterministic and
-    their contributions are merged in construction order.
+    Tasks run sequentially and their contributions are merged in
+    construction order. ``threads`` is accepted for compatibility and
+    validated, but does not change how the tasks run.
     """
     if suite_id not in SUITE_IDS:
         raise ValueError(
@@ -1190,11 +1178,7 @@ def run_theorem_suite(suite_id: str, *, seed: int = 0,
 
     kappas = tuple((tag, _kappa_from_tag(tag)) for tag in kappa_tags)
     tasks = _build_tasks(suite_id, fixture_list, kappas, alphas)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda t: t[1](), tasks))
-    else:
-        results = [run() for _, run in tasks]
+    results = [run() for _, run in tasks]
     return SuiteResult(suite_id,
                        _merge(suite_id, results, max_counterexamples),
                        params)

@@ -168,6 +168,29 @@ def test_ggs_axioms_all_hold_for_classical_operators(std):
     assert all(r.holds for r in reports)
 
 
+def test_ggs_axioms_report_failing_operator_axioms(std):
+    g = std.granulation
+
+    def lo(x):
+        return classical_upper(x, g)
+
+    def up(x):
+        return x.universe.full
+
+    reports = check_ggs_axioms(std.universe, g, lo, up)
+    assert [r.name for r in reports] == [
+        "PT1", "PT2", "G1", "G2", "G3", "G4", "G5",
+        "UL1", "UL2", "UL3", "TB"]
+    failing = {r.name for r in reports if not r.holds}
+    assert failing == {"UL1", "UL3"}
+    by_name = {r.name: r for r in reports}
+    for w in by_name["UL1"].witnesses:
+        a = std.universe.subset(dict(w)["a"])
+        assert not lo(a) <= a
+    assert by_name["UL3"].witness_dicts() == [
+        {"bottom": (), "top": ("x1", "x2", "x3", "x4")}]
+
+
 def test_admissibility_holds_for_classical_operators(std):
     g = std.granulation
 

@@ -159,6 +159,20 @@ def test_proposition_reports(std, setting):
     assert gate["status"].startswith("open question")
 
 
+def test_proposition_lower_laws_hold_for_classical_lower(std, setting):
+    st_rel, _ = setting
+
+    def lo(x):
+        return classical_lower(x, std.granulation)
+
+    reports = {r.name: r for r in check_rational_proposition(
+        std.universe, lo, st_rel)}
+    params = dict(reports["framework-hypothesis"].parameters)
+    assert params["lower-operator-laws"] == "hold"
+    assert params["reflexive"] == "fails"
+    assert not reports["framework-hypothesis"].holds
+
+
 def test_proposition_reports_with_upper(std, setting):
     st_rel, lower_op = setting
 
