@@ -18,6 +18,7 @@ values and never floats.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -194,6 +195,57 @@ def vprs_star_upper(x: ESet, granulation: Granulation,
         if kappa.on_masks(x.universe, x.mask, g.mask) > alpha:
             out |= g.mask
     return ESet(x.universe, out)
+
+
+@dataclass(frozen=True)
+class VprsTables:
+    """The four precision-tuned images of every subset, indexed by mask:
+    :func:`vprs_lower`, :func:`vprs_upper`, :func:`vprs_star_lower` and
+    :func:`vprs_star_upper`, as masks."""
+
+    lower: tuple[int, ...]
+    upper: tuple[int, ...]
+    star_lower: tuple[int, ...]
+    star_upper: tuple[int, ...]
+
+
+def vprs_tables(granulation: Granulation,
+                kappa: InclusionFn | None = None,
+                alpha: Fraction | int | str = 0) -> VprsTables:
+    """All four precision-tuned images over the whole powerset.
+
+    One measure evaluation per (subset, granule) feeds all four images.
+    Tables are cached per (granulation, measure, precision); measures
+    compare their evaluation functions by identity, so a key names
+    exactly one measure."""
+    return _vprs_tables(granulation, _kappa_or_default(kappa),
+                        require_alpha(alpha))
+
+
+@functools.cache
+def _vprs_tables(granulation: Granulation, kappa: InclusionFn,
+                 alpha: Fraction) -> VprsTables:
+    universe = granulation.universe
+    gmasks = granulation.masks
+    threshold = 1 - alpha
+    lo, up, slo, sup = [], [], [], []
+    for x in range(universe.full_mask + 1):
+        lm = um = sl = su = 0
+        for gm in gmasks:
+            v = kappa.on_masks(universe, x, gm)
+            if v >= threshold:
+                sl |= gm
+                if gm & ~x == 0:
+                    lm |= gm
+            if v > alpha:
+                su |= gm
+                if gm & x:
+                    um |= gm
+        lo.append(lm)
+        up.append(um)
+        slo.append(sl)
+        sup.append(su)
+    return VprsTables(tuple(lo), tuple(up), tuple(slo), tuple(sup))
 
 
 def _as_neighborhoods(universe: Universe,

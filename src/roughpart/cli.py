@@ -172,24 +172,21 @@ def _get_granulation(spec: dict, universe: Universe
     return granulation, neighborhood_map(universe, relation, mode)
 
 
-def _get_kappa(spec: dict, field: str = "kappa"):
-    tag = spec.get(field, "K0")
+def _get_kappa(spec: dict):
+    tag = spec.get("kappa", "K0")
     if not isinstance(tag, str):
-        _fail("expected a measure tag string", f"/{field}")
+        _fail("expected a measure tag string", "/kappa")
     try:
         return _kappa_from_tag(tag)
     except (ValueError, ZeroDivisionError) as exc:
-        raise SpecError(str(exc), f"/{field}") from exc
+        raise SpecError(str(exc), "/kappa") from exc
 
 
-def _get_alpha(spec: dict, obj: dict | None = None,
-               base: str = "") -> Fraction:
-    source = obj if obj is not None else spec
-    raw = source.get("alpha", "0")
+def _get_alpha(spec: dict) -> Fraction:
     try:
-        return require_alpha(raw)
+        return require_alpha(spec.get("alpha", "0"))
     except (ValueError, TypeError, ZeroDivisionError) as exc:
-        raise SpecError(str(exc), f"{base}/alpha") from exc
+        raise SpecError(str(exc), "/alpha") from exc
 
 
 def _get_grade(source: dict, base: str = "") -> int:

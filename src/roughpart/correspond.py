@@ -33,15 +33,9 @@ from .core import (
     Universe,
     _check_cap,
     binding,
-    image_table,
 )
-from .approx import (
-    graded_lower,
-    require_alpha,
-    require_grade,
-    vprs_star_lower,
-    vprs_star_upper,
-)
+from .approx import graded_lower, require_alpha, require_grade, vprs_tables
+from .inclusion import kappa_k0
 
 SIDES = ("upper", "lower")
 
@@ -107,10 +101,9 @@ def _build(universe: Universe, granulation: Granulation, alpha: Fraction,
     _check_cap(universe.size, cap, override, "the correspondence sweep")
     if granulation.universe != universe:
         raise ValueError("granulation belongs to a different universe")
-    measure = vprs_star_upper if side == "upper" else vprs_star_lower
+    tables = vprs_tables(granulation, kappa_k0(), alpha)
+    via_measure = tables.star_upper if side == "upper" else tables.star_lower
     thresh = upper_threshold if side == "upper" else lower_threshold
-    via_measure = image_table(
-        universe, lambda x: measure(x, granulation, None, alpha))
     by_threshold: dict[int, list[tuple[ESet, bool]]] = {}
     for m, image in enumerate(via_measure):
         x = ESet(universe, m)

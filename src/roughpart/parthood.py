@@ -30,15 +30,8 @@ from .core import (
     Witness,
     _check_cap,
     binding,
-    image_table,
 )
-from .approx import (
-    require_alpha,
-    require_grade,
-    vprs_lower,
-    vprs_star_lower,
-    vprs_upper,
-)
+from .approx import require_alpha, require_grade, vprs_tables
 from .inclusion import InclusionFn, kappa_k0
 
 PARTHOOD_TAGS = ("s3", "s5", "s5*", "s6", "s7", "s9", "s*",
@@ -49,6 +42,11 @@ PROPERTY_NAMES = ("reflexive", "part-compatible", "mutual-rough-equal",
                   "antisymmetric", "join-stable", "transitive", "symmetric")
 
 Equivalence = Callable[[ESet, ESet], bool]
+
+# The precision-tuned image each image-comparing tag reads; s0l and s0u
+# also hold the measure to a threshold.
+_IMAGE_OF = {"s5": "lower", "s7": "lower", "s0l": "lower",
+             "s5*": "star_lower", "s0u": "upper", "pu": "upper"}
 
 
 @dataclass(frozen=True)
@@ -149,39 +147,28 @@ def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
 
         def pred(am, bm):
             return am & ~bm == 0 and any(t & ~am == 0 for t in tmasks)
-    elif tag in ("s5", "s0l"):
-        lo = image_table(
-            universe, lambda x: vprs_lower(x, granulation, kap, alpha))
-        if tag == "s5":
-            def pred(am, bm):
-                return lo[am] & ~lo[bm] == 0
-        else:
-            need = 1 - alpha
+    elif tag in ("s5", "s5*", "s0l", "s0u", "pu"):
+        img = getattr(vprs_tables(granulation, kap, alpha), _IMAGE_OF[tag])
+        if tag in ("s0l", "s0u"):
+            need = 1 - alpha if tag == "s0l" else alpha
 
             def pred(am, bm):
-                return lo[am] & ~lo[bm] == 0 and \
+                return img[am] & ~img[bm] == 0 and \
                     kap.on_masks(universe, am, bm) >= need
-    elif tag == "s5*":
-        lo = image_table(
-            universe, lambda x: vprs_star_lower(x, granulation, kap, alpha))
-
-        def pred(am, bm):
-            return lo[am] & ~lo[bm] == 0
+        else:
+            def pred(am, bm):
+                return img[am] & ~img[bm] == 0
     elif tag == "s7":
         # Same intent as s5, rebuilt granule by granule instead of through
         # the lower-approximation images; the two routes must agree.
-        lo = image_table(
-            universe, lambda x: vprs_lower(x, granulation, kap, alpha))
+        lo = vprs_tables(granulation, kap, alpha).lower
         need = 1 - alpha
-        gmasks = granulation.masks
+        inside = [[g for g in granulation.masks
+                   if g & ~am == 0 and kap.on_masks(universe, am, g) >= need]
+                  for am in masks]
 
         def pred(am, bm):
-            for g in gmasks:
-                if g & ~am == 0 and \
-                        kap.on_masks(universe, am, g) >= need and \
-                        g & ~lo[bm]:
-                    return False
-            return True
+            return all(g & ~lo[bm] == 0 for g in inside[am])
     elif tag == "s9":
         alpha_at_least = []
         gmasks = granulation.masks
@@ -194,16 +181,6 @@ def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
 
         def pred(am, bm):
             return alpha_at_least[am] & ~alpha_at_least[bm] == 0
-    elif tag in ("s0u", "pu"):
-        up = image_table(
-            universe, lambda x: vprs_upper(x, granulation, kap, alpha))
-        if tag == "pu":
-            def pred(am, bm):
-                return up[am] & ~up[bm] == 0
-        else:
-            def pred(am, bm):
-                return up[am] & ~up[bm] == 0 and \
-                    kap.on_masks(universe, am, bm) >= alpha
 
     pairs = frozenset(
         (am, bm) for am in masks for bm in masks if pred(am, bm))
@@ -233,10 +210,7 @@ def build_pu(universe: Universe, granulation: Granulation, *,
     smallest member, members sorted within each class."""
     relation = build_parthood("pu", universe, granulation, kappa=kappa,
                               alpha=alpha, cap=cap, override=override)
-    kap = kappa if kappa is not None else kappa_k0()
-    alpha = require_alpha(alpha)
-    up = image_table(
-        universe, lambda x: vprs_upper(x, granulation, kap, alpha))
+    up = vprs_tables(granulation, kappa, alpha).upper
     groups: dict[int, list[int]] = {}
     for m, value in enumerate(up):
         groups.setdefault(value, []).append(m)
@@ -289,28 +263,16 @@ def _default_equivalence(relation: ParthoodRelation) -> Equivalence:
     if ctx is None or tag in ("s3", "s6", "s*", "st"):
         return lambda a, b: a.mask == b.mask
     g, kap, alpha = ctx.granulation, ctx.kappa, ctx.alpha
-    if tag in ("s5", "s7"):
-        return lambda a, b: vprs_lower(a, g, kap, alpha) == \
-            vprs_lower(b, g, kap, alpha)
-    if tag == "s5*":
-        return lambda a, b: vprs_star_lower(a, g, kap, alpha) == \
-            vprs_star_lower(b, g, kap, alpha)
     if tag == "s9":
         def prof(x: ESet) -> tuple[bool, ...]:
             return tuple(kap(x, h) >= alpha for h in g)
         return lambda a, b: prof(a) == prof(b)
-    if tag == "s0l":
-        need = 1 - alpha
-        return lambda a, b: (
-            vprs_lower(a, g, kap, alpha) == vprs_lower(b, g, kap, alpha)
-            and kap(a, b) >= need and kap(b, a) >= need)
-    if tag == "s0u":
-        return lambda a, b: (
-            vprs_upper(a, g, kap, alpha) == vprs_upper(b, g, kap, alpha)
-            and kap(a, b) >= alpha and kap(b, a) >= alpha)
-    # pu compares upper images.
-    return lambda a, b: vprs_upper(a, g, kap, alpha) == \
-        vprs_upper(b, g, kap, alpha)
+    img = getattr(vprs_tables(g, kap, alpha), _IMAGE_OF[tag])
+    if tag in ("s0l", "s0u"):
+        need = 1 - alpha if tag == "s0l" else alpha
+        return lambda a, b: (img[a.mask] == img[b.mask]
+                             and kap(a, b) >= need and kap(b, a) >= need)
+    return lambda a, b: img[a.mask] == img[b.mask]
 
 
 _REFLEXIVITY_CONDITIONS: dict[str, tuple[str, Callable[..., bool]]] = {

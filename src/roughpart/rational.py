@@ -72,9 +72,26 @@ def _as_predicate(substantial: Substantial | ParthoodRelation) -> Substantial:
     return substantial
 
 
-def _nonempty_definites(universe: Universe, lower: Operator) -> list[ESet]:
-    lo = image_table(universe, lower)
+def _nonempty_definites(universe: Universe, lo: list[int]) -> list[ESet]:
     return [ESet(universe, m) for m in range(1, len(lo)) if lo[m] == m]
+
+
+def _exhaustive_lower(a: ESet, lo: list[int], definites: list[ESet],
+                      ps: Substantial) -> RationalResult:
+    """The ``exhaustive`` search of :func:`rational_lower`, reading lower
+    images from ``lo``, the lower table indexed by mask."""
+    universe = a.universe
+    best = source = 0
+    for m in iter_submasks(a.mask):
+        if lo[m].bit_count() > best.bit_count() and \
+                all(e.mask & ~m or ps(e, a) for e in definites):
+            best, source = lo[m], m
+    if not best:
+        return RationalResult(True, universe.empty, (), True, "exhaustive",
+                              ("no substantial candidate; trivial fallback",))
+    return RationalResult(True, ESet(universe, best),
+                          (("source", ESet(universe, source)),), False,
+                          "exhaustive")
 
 
 def rational_lower(a: ESet, lower: Operator,
@@ -106,23 +123,8 @@ def rational_lower(a: ESet, lower: Operator,
 
     _check_cap(universe.size * 2, cap, override,
                "the exhaustive rational lower search")
-    definites = _nonempty_definites(universe, lower)
-    best: ESet | None = None
-    best_b: ESet | None = None
-    for m in range(universe.full_mask + 1):
-        b = ESet(universe, m)
-        if not b <= a:
-            continue
-        if all(not e <= b or ps(e, a) for e in definites):
-            v = lower(b)
-            if best is None or v.cardinality > best.cardinality:
-                best = v
-                best_b = b
-    if best is None or best.is_empty:
-        return RationalResult(True, universe.empty, (), True, mode,
-                              ("no substantial candidate; trivial fallback",))
-    assert best_b is not None
-    return RationalResult(True, best, (("source", best_b),), False, mode)
+    lo = image_table(universe, lower)
+    return _exhaustive_lower(a, lo, _nonempty_definites(universe, lo), ps)
 
 
 def rational_upper(a: ESet, upper: Operator, lower: Operator,
@@ -146,7 +148,7 @@ def rational_upper(a: ESet, upper: Operator, lower: Operator,
     preimage: dict[int, int] = {}
     for m, v in enumerate(image_table(universe, upper)):
         preimage.setdefault(v, m)
-    definites = _nonempty_definites(universe, lower)
+    definites = _nonempty_definites(universe, image_table(universe, lower))
     aup = upper(a)
     candidates = sorted(preimage,
                         key=lambda v: (v.bit_count(), v))
@@ -234,11 +236,16 @@ def check_rational_proposition(universe: Universe, lower: Operator,
                            universe.size, hyp_params)]
     gate = (("hypothesis", "met" if hypothesis else "not-met"),)
 
+    definites = _nonempty_definites(universe, lo)
+
     def rl(x: ESet) -> ESet:
-        value = rational_lower(x, lower, ps, mode=mode, cap=cap,
-                               override=override).value
-        assert value is not None
-        return value
+        if mode == "exhaustive":
+            res = _exhaustive_lower(x, lo, definites, ps)
+        else:
+            res = rational_lower(x, lower, ps, mode=mode, cap=cap,
+                                 override=override)
+        assert res.value is not None
+        return res.value
 
     def ev(m: int) -> ESet:
         return ESet(universe, m)

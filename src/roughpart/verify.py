@@ -52,7 +52,13 @@ from .inclusion import (
     kappa_k2,
     kappa_st,
 )
-from .approx import ApproxSpec, classical_lower, classical_upper, vprs_lower
+from .approx import (
+    ApproxSpec,
+    classical_lower,
+    classical_upper,
+    vprs_lower,
+    vprs_tables,
+)
 from .parthood import analyze_properties, build_parthood, build_pu
 from .rational import check_rational_proposition, rational_lower, rational_upper
 from .correspond import (
@@ -296,6 +302,7 @@ def _wit(universe: Universe, **named: int) -> Witness:
     return tuple(binding(k, ESet(universe, m)) for k, m in named.items())
 
 
+@functools.cache
 def _kappa_from_tag(tag: str) -> InclusionFn:
     if tag == "K0":
         return kappa_k0()
@@ -322,163 +329,100 @@ def _ri_gate(ktag: str, size: int, delta: Fraction) -> bool:
                        delta=delta, max_witnesses=1).holds
 
 
-class _OpArrays:
-    """Per-combination operator images indexed by subset mask."""
-
-    __slots__ = ("lo", "up", "slo", "sup")
-
-    def __init__(self, fixture: Fixture, kap: InclusionFn,
-                 alpha: Fraction) -> None:
-        universe = fixture.universe
-        gmasks = fixture.granulation.masks
-        threshold = 1 - alpha
-        lo, up, slo, sup = [], [], [], []
-        for x in range(universe.full_mask + 1):
-            lm = um = sl = su = 0
-            for gm in gmasks:
-                v = kap.on_masks(universe, x, gm)
-                if v >= threshold:
-                    sl |= gm
-                    if gm & ~x == 0:
-                        lm |= gm
-                if v > alpha:
-                    su |= gm
-                    if gm & x:
-                        um |= gm
-            lo.append(lm)
-            up.append(um)
-            slo.append(sl)
-            sup.append(su)
-        self.lo = lo
-        self.up = up
-        self.slo = slo
-        self.sup = sup
+# A clause sweep's checked count and its first five failing bindings.
+_Sweep = tuple[int, list[dict[str, int]]]
 
 
-def _vprs_alpha_task(fixture: Fixture, ktag: str, kap: InclusionFn,
-                     alpha: Fraction) -> Task:
-    key = f"{fixture.name}/{ktag}/{alpha}"
-
-    def run() -> list[_Eval]:
-        universe = fixture.universe
-        arrays = _OpArrays(fixture, kap, alpha)
-        lo, up = arrays.lo, arrays.up
-        full = universe.full_mask
-        clauses = ("li", "luA", "lA-idem", "lA-cmo", "uA-cmo", "lA-capc")
-        ces: dict[str, list[Counterexample]] = {c: [] for c in clauses}
-        checked = dict.fromkeys(clauses, 0)
-
-        def ce(clause: str, **masks: int) -> None:
-            if len(ces[clause]) < 5:
-                ces[clause].append(Counterexample(
-                    fixture.name, kap.describe(), str(alpha),
-                    _wit(universe, **masks)))
-
-        for x in range(full + 1):
-            checked["li"] += 1
-            if lo[x] & ~x:
-                ce("li", a=x)
-            checked["luA"] += 1
-            if lo[x] & ~up[x]:
-                ce("luA", a=x)
-            checked["lA-idem"] += 1
-            if lo[lo[x]] != lo[x]:
-                ce("lA-idem", a=x)
-            base = lo[x]
-            if base & ~x == 0:
-                for s in iter_submasks(x & ~base):
-                    y = base | s
-                    checked["lA-cmo"] += 1
-                    if base & ~lo[y]:
-                        ce("lA-cmo", a=x, b=y)
-            if x & ~up[x] == 0:
-                for s in iter_submasks(up[x] & ~x):
-                    b = x | s
-                    checked["uA-cmo"] += 1
-                    if up[x] & ~up[b]:
-                        ce("uA-cmo", a=x, b=b)
-        for a in range(full + 1):
-            for b in range(a, full + 1):
-                checked["lA-capc"] += 1
-                if lo[a] & lo[b] & ~lo[a & b]:
-                    ce("lA-capc", a=a, b=b)
-
-        gate = ((f"class[{ktag},n={universe.size}]",
-                 ",".join(_class_tags(ktag, universe.size)) or "none"),)
-        return [_Eval(c, checked[c], ces[c], gate) for c in clauses]
-
-    return key, run
-
-
-def _vprs_star_task(fixture: Fixture, ktag: str, kap: InclusionFn,
-                    alpha: Fraction) -> Task:
-    key = f"{fixture.name}/{ktag}/{alpha}"
-
-    def run() -> list[_Eval]:
-        universe = fixture.universe
-        arrays = _OpArrays(fixture, kap, alpha)
-        lo, up, slo, sup = arrays.lo, arrays.up, arrays.slo, arrays.sup
-        full = universe.full_mask
-        clauses = ("lA-cmo*", "uA-cmo*", "luA*", "luAA")
-        ces: dict[str, list[Counterexample]] = {c: [] for c in clauses}
-        checked = dict.fromkeys(clauses, 0)
-
-        def ce(clause: str, **masks: int) -> None:
-            if len(ces[clause]) < 5:
-                ces[clause].append(Counterexample(
-                    fixture.name, kap.describe(), str(alpha),
-                    _wit(universe, **masks)))
-
-        for x in range(full + 1):
-            checked["luA*"] += 1
-            if slo[x] & ~sup[x]:
-                ce("luA*", a=x)
-            checked["luAA"] += 1
-            if lo[x] & ~slo[x] or up[x] & ~sup[x]:
-                ce("luAA", a=x)
-            if slo[x] & ~x == 0:
-                for s in iter_submasks(x & ~slo[x]):
-                    y = slo[x] | s
-                    checked["lA-cmo*"] += 1
-                    if slo[x] & ~slo[y]:
-                        ce("lA-cmo*", a=x, b=y)
-            if x & ~sup[x] == 0:
-                for s in iter_submasks(sup[x] & ~x):
-                    b = x | s
-                    checked["uA-cmo*"] += 1
-                    if sup[x] & ~sup[b]:
-                        ce("uA-cmo*", a=x, b=b)
-
-        gate = ((f"class[{ktag},n={universe.size}]",
-                 ",".join(_class_tags(ktag, universe.size)) or "none"),)
-        return [_Eval(c, checked[c], ces[c], gate) for c in clauses]
-
-    return key, run
-
-
-def _ri_cap_task(fixture: Fixture, ktag: str, kap: InclusionFn,
-                 alpha: Fraction) -> Task:
-    key = f"{fixture.name}/{ktag}/{alpha}"
-
-    def run() -> list[_Eval]:
-        universe = fixture.universe
-        arrays = _OpArrays(fixture, kap, alpha)
-        lo = arrays.lo
-        full = universe.full_mask
-        ces: list[Counterexample] = []
-        checked = 0
-        for a in range(full + 1):
-            for b in range(a, full + 1):
+def _lower_cmo(lo: Sequence[int], full: int) -> _Sweep:
+    """Cautious monotony of a lower table: ``lo[a] <= b <= a`` keeps
+    ``lo[a]`` inside ``lo[b]``."""
+    checked = 0
+    fails: list[dict[str, int]] = []
+    for a in range(full + 1):
+        base = lo[a]
+        if base & ~a == 0:
+            for s in iter_submasks(a & ~base):
+                b = base | s
                 checked += 1
-                if lo[a] & lo[b] & ~lo[a & b] and len(ces) < 5:
-                    ces.append(Counterexample(
-                        fixture.name, kap.describe(), str(alpha),
-                        _wit(universe, a=a, b=b)))
-        delta = 1 - alpha
-        gate_ok = _ri_gate(ktag, universe.size, delta)
-        gate = ((f"RI[{ktag},n={universe.size},delta={delta}]",
-                 "holds" if gate_ok else "fails"),)
-        return [_Eval("lARI-cap", checked, ces, gate)]
+                if base & ~lo[b] and len(fails) < 5:
+                    fails.append({"a": a, "b": b})
+    return checked, fails
+
+
+def _upper_cmo(up: Sequence[int], full: int) -> _Sweep:
+    """Cautious monotony of an upper table: ``a <= b <= up[a]`` keeps
+    ``up[a]`` inside ``up[b]``."""
+    checked = 0
+    fails: list[dict[str, int]] = []
+    for a in range(full + 1):
+        if a & ~up[a] == 0:
+            for s in iter_submasks(up[a] & ~a):
+                b = a | s
+                checked += 1
+                if up[a] & ~up[b] and len(fails) < 5:
+                    fails.append({"a": a, "b": b})
+    return checked, fails
+
+
+def _cap_closure(lo: Sequence[int], full: int) -> _Sweep:
+    """``lo[a] & lo[b]`` inside ``lo[a & b]`` for every unordered pair."""
+    checked = 0
+    fails: list[dict[str, int]] = []
+    for a in range(full + 1):
+        for b in range(a, full + 1):
+            checked += 1
+            if lo[a] & lo[b] & ~lo[a & b] and len(fails) < 5:
+                fails.append({"a": a, "b": b})
+    return checked, fails
+
+
+def _vprs_task(suite_id: str, fixture: Fixture, ktag: str,
+               kap: InclusionFn, alpha: Fraction) -> Task:
+    key = f"{fixture.name}/{ktag}/{alpha}"
+
+    def run() -> list[_Eval]:
+        universe = fixture.universe
+        full = universe.full_mask
+        tables = vprs_tables(fixture.granulation, kap, alpha)
+        lo, up = tables.lower, tables.upper
+        slo, sup = tables.star_lower, tables.star_upper
+
+        def each(bad: Callable[[int], int]) -> _Sweep:
+            return full + 1, [{"a": x} for x in range(full + 1)
+                              if bad(x)][:5]
+
+        if suite_id == "vprs-alpha":
+            sweeps = {
+                "li": each(lambda x: lo[x] & ~x),
+                "luA": each(lambda x: lo[x] & ~up[x]),
+                "lA-idem": each(lambda x: lo[lo[x]] != lo[x]),
+                "lA-cmo": _lower_cmo(lo, full),
+                "uA-cmo": _upper_cmo(up, full),
+                "lA-capc": _cap_closure(lo, full),
+            }
+        elif suite_id == "vprs-star":
+            sweeps = {
+                "lA-cmo*": _lower_cmo(slo, full),
+                "uA-cmo*": _upper_cmo(sup, full),
+                "luA*": each(lambda x: slo[x] & ~sup[x]),
+                "luAA": each(lambda x: lo[x] & ~slo[x] or up[x] & ~sup[x]),
+            }
+        else:
+            sweeps = {"lARI-cap": _cap_closure(lo, full)}
+
+        if suite_id == "ri-cap":
+            delta = 1 - alpha
+            gate = ((f"RI[{ktag},n={universe.size},delta={delta}]",
+                     "holds" if _ri_gate(ktag, universe.size, delta)
+                     else "fails"),)
+        else:
+            gate = ((f"class[{ktag},n={universe.size}]",
+                     ",".join(_class_tags(ktag, universe.size)) or "none"),)
+        return [_Eval(clause, checked,
+                      [Counterexample(fixture.name, kap.describe(),
+                                      str(alpha), _wit(universe, **masks))
+                       for masks in fails], gate)
+                for clause, (checked, fails) in sweeps.items()]
 
     return key, run
 
@@ -1052,21 +996,11 @@ def _build_tasks(suite_id: str, fixtures: Sequence[Fixture],
     tasks: list[Task] = []
     if suite_id == "table-diff":
         tasks.append(_table_diff_task())
-    elif suite_id == "vprs-alpha":
+    elif suite_id in ("vprs-alpha", "vprs-star", "ri-cap"):
         for f in fixtures:
             for ktag, kap in kappas:
                 for alpha in alphas:
-                    tasks.append(_vprs_alpha_task(f, ktag, kap, alpha))
-    elif suite_id == "vprs-star":
-        for f in fixtures:
-            for ktag, kap in kappas:
-                for alpha in alphas:
-                    tasks.append(_vprs_star_task(f, ktag, kap, alpha))
-    elif suite_id == "ri-cap":
-        for f in fixtures:
-            for ktag, kap in kappas:
-                for alpha in alphas:
-                    tasks.append(_ri_cap_task(f, ktag, kap, alpha))
+                    tasks.append(_vprs_task(suite_id, f, ktag, kap, alpha))
     elif suite_id == "grif":
         for f in fixtures:
             tasks.append(_grif_task(f))

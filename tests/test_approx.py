@@ -19,6 +19,9 @@ from roughpart import (
     graded_regions,
     graded_upper,
     kappa_k0,
+    kappa_k1,
+    kappa_k2,
+    kappa_st,
     pointwise_lower,
     pointwise_upper,
     vprs_lower,
@@ -26,6 +29,7 @@ from roughpart import (
     vprs_regions,
     vprs_star_lower,
     vprs_star_upper,
+    vprs_tables,
     vprs_upper,
 )
 from roughpart.approx import require_alpha, require_grade
@@ -189,3 +193,31 @@ def test_precision_lower_sits_inside_its_argument_and_upper(ugx, alpha):
     assert lo <= star_lo
     assert up <= star_up
     assert star_lo <= star_up
+
+
+def measures():
+    """K0, K1, K2, or a two-threshold rescaling Kst(s, t) with s < t."""
+    bounds = st.fractions(0, 1, max_denominator=10)
+    kst = st.tuples(bounds, bounds).filter(lambda p: p[0] < p[1]).map(
+        lambda p: kappa_st(*p))
+    return st.one_of(st.sampled_from([kappa_k0(), kappa_k1(), kappa_k2()]),
+                     kst)
+
+
+precisions = st.fractions(0, Fraction(1, 2), max_denominator=20).filter(
+    lambda a: a < Fraction(1, 2))
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_fixtures(), measures(), precisions)
+def test_vprs_tables_match_the_per_set_operators(ugx, kappa, alpha):
+    u, g, _ = ugx
+    tables = vprs_tables(g, kappa, alpha)
+    for x in u.subsets():
+        m = x.mask
+        assert tables.lower[m] == vprs_lower(x, g, kappa, alpha).mask
+        assert tables.upper[m] == vprs_upper(x, g, kappa, alpha).mask
+        assert tables.star_lower[m] == \
+            vprs_star_lower(x, g, kappa, alpha).mask
+        assert tables.star_upper[m] == \
+            vprs_star_upper(x, g, kappa, alpha).mask

@@ -6,6 +6,8 @@ import pytest
 
 from roughpart import (
     LOWER_MODES,
+    Granulation,
+    Universe,
     build_parthood,
     check_rational_proposition,
     classical_lower,
@@ -189,3 +191,51 @@ def test_proposition_reports_with_upper(std, setting):
     defined, total = covered.split("/")
     assert int(total) == 16
     assert 0 < int(defined) <= 16
+
+
+# Reports and exhaustive rational lower values of the s0u relation below,
+# as the search produced them when it called the lower operator per
+# candidate.
+S0U_REPORTS = [
+    ("framework-hypothesis", False, (),
+     (("join-compatible", "fails"), ("l-euclidean", "fails"),
+      ("mutual-rough-equal", "holds"), ("part-compatible", "fails"),
+      ("r-euclidean", "fails"), ("reflexive", "holds"),
+      ("lower-operator-laws", "hold"))),
+    ("idempotent", True, (), (("hypothesis", "not-met"),)),
+    ("lower-compatible", True, (), (("hypothesis", "not-met"),)),
+    ("s-monotone", False,
+     ((("a", ("e2", "e3", "e4")), ("b", ("e2", "e3", "e4", "e5", "e6"))),),
+     (("hypothesis", "not-met"),)),
+    ("lower-compatible-open", True, (),
+     (("hypothesis", "not-met"),
+      ("status", "open question; reported, not asserted"))),
+]
+S0U_EXHAUSTIVE_VALUES = [
+    0, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0, 3, 0, 0, 14, 15,
+    16, 16, 16, 19, 16, 16, 16, 19, 16, 16, 16, 19, 16, 16, 30, 31,
+    0, 33, 0, 35, 0, 33, 0, 35, 0, 33, 0, 35, 0, 33, 14, 47,
+    16, 49, 16, 51, 16, 49, 16, 51, 56, 57, 56, 59, 56, 57, 16, 63,
+]
+
+
+def test_exhaustive_proposition_reads_one_lower_table():
+    u = Universe(tuple(f"e{i}" for i in range(1, 7)))
+    g = Granulation.of(u, (("e1", "e2"), ("e2", "e3", "e4"), ("e5",),
+                           ("e4", "e5", "e6"), ("e1", "e6")))
+    relation = build_parthood("s0u", u, g, alpha=Fraction(1, 5))
+    calls = 0
+
+    def lower(x):
+        nonlocal calls
+        calls += 1
+        return classical_lower(x, g)
+
+    reports = check_rational_proposition(u, lower, relation,
+                                         mode="exhaustive")
+    assert calls <= 2 * 2 ** u.size
+    assert [(r.name, r.holds, r.witnesses, r.parameters)
+            for r in reports] == S0U_REPORTS
+    values = [rational_lower(x, lower, relation, mode="exhaustive").value
+              for x in u.subsets()]
+    assert [v.mask for v in values] == S0U_EXHAUSTIVE_VALUES

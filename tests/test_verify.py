@@ -22,6 +22,7 @@ from roughpart import (
     standard_fixture,
     suite_result_to_json,
 )
+from roughpart import approx
 
 
 def _mismatch_rows(report, table_id, column):
@@ -170,3 +171,11 @@ def test_suite_json_shape_and_validation():
     ce = out["counterexamples"][0]
     assert set(ce) == {"fixture", "kappa", "alpha", "bindings"}
     assert all(isinstance(v, list) for v in ce["bindings"].values())
+
+
+def test_suites_share_one_vprs_table_per_combination():
+    """Every suite of ``all`` reads the same cached tables: 5 fixtures,
+    2 measures and 4 precisions make 40 distinct tables."""
+    approx._vprs_tables.cache_clear()
+    run_theorem_suite("all", random_count=4)
+    assert approx._vprs_tables.cache_info().misses == 40
