@@ -1,8 +1,21 @@
 from __future__ import annotations
 
-import pytest
+from fractions import Fraction
 
-from roughpart import Fixture, standard_fixture
+import pytest
+from hypothesis import strategies as st
+
+from roughpart import (
+    ESet,
+    Fixture,
+    Granulation,
+    Universe,
+    kappa_k0,
+    kappa_k1,
+    kappa_k2,
+    kappa_st,
+    standard_fixture,
+)
 
 
 @pytest.fixture(scope="session")
@@ -14,3 +27,40 @@ def subsets_by_label(fixture: Fixture) -> dict[str, object]:
     """Label-keyed map of every subset of the fixture universe."""
     universe = fixture.universe
     return {s.label(): s for s in universe.subsets()}
+
+
+def small_fixtures():
+    universes = st.integers(min_value=2, max_value=5)
+
+    @st.composite
+    def build(draw):
+        n = draw(universes)
+        u = Universe(tuple(f"e{i}" for i in range(n)))
+        count = draw(st.integers(1, n + 1))
+        masks = draw(st.lists(st.integers(1, u.full_mask),
+                              min_size=count, max_size=count, unique=True))
+        covered = 0
+        for m in masks:
+            covered |= m
+        if covered != u.full_mask:
+            rest = u.full_mask & ~covered
+            if rest not in masks:
+                masks.append(rest)
+        g = Granulation(u, tuple(ESet(u, m) for m in masks))
+        xm = draw(st.integers(0, u.full_mask))
+        return u, g, ESet(u, xm)
+
+    return build()
+
+
+def measures():
+    """K0, K1, K2, or a two-threshold rescaling Kst(s, t) with s < t."""
+    bounds = st.fractions(0, 1, max_denominator=10)
+    kst = st.tuples(bounds, bounds).filter(lambda p: p[0] < p[1]).map(
+        lambda p: kappa_st(*p))
+    return st.one_of(st.sampled_from([kappa_k0(), kappa_k1(), kappa_k2()]),
+                     kst)
+
+
+precisions = st.fractions(0, Fraction(1, 2), max_denominator=20).filter(
+    lambda a: a < Fraction(1, 2))

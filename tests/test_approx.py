@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 from roughpart import (
     ApproxSpec,
     ESet,
-    Granulation,
     OPERATOR_IDS,
-    Universe,
     bited_upper,
     classical_lower,
     classical_upper,
@@ -19,9 +17,6 @@ from roughpart import (
     graded_regions,
     graded_upper,
     kappa_k0,
-    kappa_k1,
-    kappa_k2,
-    kappa_st,
     pointwise_lower,
     pointwise_upper,
     vprs_lower,
@@ -33,7 +28,7 @@ from roughpart import (
     vprs_upper,
 )
 from roughpart.approx import require_alpha, require_grade
-from conftest import subsets_by_label
+from conftest import measures, precisions, small_fixtures, subsets_by_label
 
 ALPHA = Fraction(3, 10)
 
@@ -138,30 +133,6 @@ def test_pointwise_operator_ids_require_neighborhoods(std):
         spec.operator("l_alpha_pt")
 
 
-def small_fixtures():
-    universes = st.integers(min_value=2, max_value=5)
-
-    @st.composite
-    def build(draw):
-        n = draw(universes)
-        u = Universe(tuple(f"e{i}" for i in range(n)))
-        count = draw(st.integers(1, n + 1))
-        masks = draw(st.lists(st.integers(1, u.full_mask),
-                              min_size=count, max_size=count, unique=True))
-        covered = 0
-        for m in masks:
-            covered |= m
-        if covered != u.full_mask:
-            rest = u.full_mask & ~covered
-            if rest not in masks:
-                masks.append(rest)
-        g = Granulation(u, tuple(ESet(u, m) for m in masks))
-        xm = draw(st.integers(0, u.full_mask))
-        return u, g, ESet(u, xm)
-
-    return build()
-
-
 @settings(max_examples=120, deadline=None)
 @given(small_fixtures())
 def test_zero_precision_upper_is_classical_lower_is_tighter(ugx):
@@ -193,19 +164,6 @@ def test_precision_lower_sits_inside_its_argument_and_upper(ugx, alpha):
     assert lo <= star_lo
     assert up <= star_up
     assert star_lo <= star_up
-
-
-def measures():
-    """K0, K1, K2, or a two-threshold rescaling Kst(s, t) with s < t."""
-    bounds = st.fractions(0, 1, max_denominator=10)
-    kst = st.tuples(bounds, bounds).filter(lambda p: p[0] < p[1]).map(
-        lambda p: kappa_st(*p))
-    return st.one_of(st.sampled_from([kappa_k0(), kappa_k1(), kappa_k2()]),
-                     kst)
-
-
-precisions = st.fractions(0, Fraction(1, 2), max_denominator=20).filter(
-    lambda a: a < Fraction(1, 2))
 
 
 @settings(max_examples=120, deadline=None)

@@ -3,10 +3,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roughpart import (
     PARTHOOD_TAGS,
     PROPERTY_NAMES,
+    ESet,
     Universe,
     analyze_properties,
     build_parthood,
@@ -14,9 +16,13 @@ from roughpart import (
     equalizers,
     eval_k0,
     kappa_k0,
+    vprs_lower,
+    vprs_star_lower,
     vprs_upper,
 )
-from conftest import subsets_by_label
+from roughpart.core import binding
+from roughpart.rational import _relation_for
+from conftest import measures, precisions, small_fixtures, subsets_by_label
 
 ALPHA = Fraction(3, 10)
 
@@ -208,3 +214,214 @@ def test_tag_and_universe_validation(std):
     other = Universe(("y1", "y2"))
     with pytest.raises(ValueError, match="different universe"):
         rel.holds(other.subset(("y1",)), other.subset(("y2",)))
+
+
+@st.composite
+def tuned_fixtures(draw):
+    """A small fixture with every tuning a tag reads: measure, precision,
+    grade and designated granules."""
+    u, g, _ = draw(small_fixtures())
+    granules = list(g)
+    tset = draw(st.lists(st.sampled_from(granules), max_size=2, unique=True))
+    return (u, g, draw(measures()), draw(precisions), draw(st.integers(0, 3)),
+            tuple(tset))
+
+
+def plain_parthood(tag, u, g, kappa, alpha, k, tset):
+    """Holding pairs by a double loop over subsets, through the per-set
+    operators and the measure itself."""
+    subs = list(u.subsets())
+    lo = {x: vprs_lower(x, g, kappa, alpha) for x in subs}
+    slo = {x: vprs_star_lower(x, g, kappa, alpha) for x in subs}
+    up = {x: vprs_upper(x, g, kappa, alpha) for x in subs}
+    prof = {x: {h.mask for h in g if kappa(x, h) >= alpha} for x in subs}
+    inside = {x: [h for h in g if h <= x and kappa(x, h) >= 1 - alpha]
+              for x in subs}
+    pred = {
+        "s3": lambda a, b: (a & b).cardinality > k and a <= b,
+        "s6": lambda a, b: a <= b and a.cardinality > k,
+        "s*": lambda a, b: (a & b).cardinality > k and not b < a,
+        "st": lambda a, b: a <= b and any(t <= a for t in tset),
+        "s5": lambda a, b: lo[a] <= lo[b],
+        "s5*": lambda a, b: slo[a] <= slo[b],
+        "s7": lambda a, b: all(h <= lo[b] for h in inside[a]),
+        "s9": lambda a, b: prof[a] <= prof[b],
+        "s0l": lambda a, b: lo[a] <= lo[b] and kappa(a, b) >= 1 - alpha,
+        "s0u": lambda a, b: up[a] <= up[b] and kappa(a, b) >= alpha,
+        "pu": lambda a, b: up[a] <= up[b],
+    }[tag]
+    return {(a.mask, b.mask) for a in subs for b in subs if pred(a, b)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(tuned_fixtures())
+def test_every_tag_matches_a_plain_double_loop(tuned):
+    u, g, kappa, alpha, k, tset = tuned
+    for tag in PARTHOOD_TAGS:
+        rel = build_parthood(tag, u, g, kappa=kappa, alpha=alpha, k=k,
+                             tset=tset)
+        want = plain_parthood(tag, u, g, kappa, alpha, k, tset)
+        assert set(rel.pairs) == want, tag
+        assert rel.size == len(want), tag
+        assert {(a.mask, b.mask) for a, b in rel.extension()} == want, tag
+        for a in u.subsets():
+            for b in u.subsets():
+                assert rel.holds(a, b) == ((a.mask, b.mask) in want), tag
+
+
+def plain_equivalence(rel):
+    """Rough equality by tag, through the per-set operators."""
+    ctx = rel.context
+    if ctx is None or rel.tag in ("s3", "s6", "s*", "st"):
+        return lambda a, b: a == b
+    g, kappa, alpha = ctx.granulation, ctx.kappa, ctx.alpha
+    if rel.tag == "s9":
+        def prof(x):
+            return tuple(kappa(x, h) >= alpha for h in g)
+        return lambda a, b: prof(a) == prof(b)
+    op = {"s5": vprs_lower, "s7": vprs_lower, "s0l": vprs_lower,
+          "s5*": vprs_star_lower, "s0u": vprs_upper, "pu": vprs_upper}[rel.tag]
+
+    def same(a, b):
+        return op(a, g, kappa, alpha) == op(b, g, kappa, alpha)
+    if rel.tag in ("s0l", "s0u"):
+        need = 1 - alpha if rel.tag == "s0l" else alpha
+        return lambda a, b: (same(a, b) and kappa(a, b) >= need
+                             and kappa(b, a) >= need)
+    return same
+
+
+def plain_profile(rel, pairs, max_witnesses):
+    """Property statuses by sweeping pairs and triples of masks, first
+    witness in sorted pair order."""
+    universe = rel.universe
+    masks = range(universe.full_mask + 1)
+    eq = plain_equivalence(rel)
+
+    def ev(m):
+        return ESet(universe, m)
+
+    def w(**kw):
+        return tuple(binding(name, ev(m)) for name, m in kw.items())
+
+    reflexive_on = {
+        "s3": lambda ctx, a: a.cardinality > ctx.k,
+        "s6": lambda ctx, a: a.cardinality > ctx.k,
+        "s*": lambda ctx, a: a.cardinality > ctx.k,
+        "st": lambda ctx, a: any(t <= a for t in ctx.tset),
+    }
+    condition = {"st": "some designated granule inside the set"}
+    out = []
+
+    def settle(name, fails):
+        if not fails:
+            out.append((name, "holds", None, None))
+            return
+        ctx = rel.context
+        test = reflexive_on.get(rel.tag)
+        if name == "reflexive" and test is not None and ctx is not None:
+            if all(((m, m) in pairs) == test(ctx, ev(m)) for m in masks):
+                text = condition.get(rel.tag, "cardinality above the grade")
+                out.append((name, "conditional", None,
+                            f"reflexive exactly on sets with {text}"))
+                return
+        out.append((name, "fails", fails[0], None))
+
+    fails = [w(a=m) for m in masks if (m, m) not in pairs]
+    settle("reflexive", fails[:max_witnesses])
+
+    fails = [w(a=am, b=bm) for am, bm in sorted(pairs) if am & ~bm]
+    settle("part-compatible", fails[:max_witnesses])
+
+    fails = []
+    for am, bm in sorted(pairs):
+        if (bm, am) in pairs and am < bm and not eq(ev(am), ev(bm)):
+            fails.append(w(a=am, b=bm))
+    settle("mutual-rough-equal", fails[:max_witnesses])
+
+    fails = []
+    for am, em in sorted(pairs):
+        for bm in masks:
+            if (am, bm) in pairs and (am, bm | em) not in pairs:
+                fails.append(w(a=am, e=em, b=bm))
+                break
+        if len(fails) >= max_witnesses:
+            break
+    settle("join-compatible", fails)
+
+    fails = []
+    for bm, am in sorted(pairs):
+        for em in masks:
+            if (bm, em) in pairs and am & ~em == 0 \
+                    and (am, em) not in pairs:
+                fails.append(w(a=am, b=bm, e=em))
+                break
+        if len(fails) >= max_witnesses:
+            break
+    settle("l-euclidean", fails)
+
+    fails = []
+    for am, bm in sorted(pairs):
+        for em in masks:
+            if (em, bm) in pairs and am & ~em == 0 \
+                    and (am, em) not in pairs:
+                fails.append(w(a=am, b=bm, e=em))
+                break
+        if len(fails) >= max_witnesses:
+            break
+    settle("r-euclidean", fails)
+
+    fails = []
+    for am, bm in sorted(pairs):
+        if (bm, am) in pairs and am != bm:
+            fails.append(w(a=am, b=bm))
+            if len(fails) >= max_witnesses:
+                break
+    settle("antisymmetric", fails)
+
+    fails = []
+    for am, em in sorted(pairs):
+        for bm in masks:
+            if (bm, em) in pairs and (am | bm, em) not in pairs:
+                fails.append(w(a=am, b=bm, e=em))
+                break
+        if len(fails) >= max_witnesses:
+            break
+    settle("join-stable", fails)
+
+    fails = []
+    for am, bm in sorted(pairs):
+        for cm in masks:
+            if (bm, cm) in pairs and (am, cm) not in pairs:
+                fails.append(w(a=am, b=bm, c=cm))
+                break
+        if len(fails) >= max_witnesses:
+            break
+    settle("transitive", fails)
+
+    fails = [w(a=am, b=bm) for am, bm in sorted(pairs)
+             if (bm, am) not in pairs]
+    settle("symmetric", fails[:max_witnesses])
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(tuned_fixtures(), st.sampled_from(PARTHOOD_TAGS),
+       st.lists(st.tuples(st.integers(0, 31), st.integers(0, 31)),
+                max_size=3))
+def test_property_profile_matches_plain_sweeps(tuned, tag, flips):
+    u, g, kappa, alpha, k, tset = tuned
+    rel = build_parthood(tag, u, g, kappa=kappa, alpha=alpha, k=k, tset=tset)
+    pairs = plain_parthood(tag, u, g, kappa, alpha, k, tset)
+    relations = [(rel, pairs)]
+    if flips:
+        # A near miss of the tag: a few pairs toggled, no tuning attached.
+        full = u.full_mask
+        custom = pairs ^ {(a & full, b & full) for a, b in flips}
+        relations.append((_relation_for(
+            u, lambda a, b: (a.mask, b.mask) in custom), custom))
+    for relation, held in relations:
+        profile = analyze_properties(relation, max_witnesses=3)
+        got = [(s.name, s.status, s.witness, s.condition)
+               for s in profile.statuses]
+        assert got == plain_profile(relation, held, 3), relation.tag
