@@ -186,6 +186,14 @@ def iter_submasks(mask: int) -> Iterator[int]:
         sub = (sub - mask) & mask
 
 
+def iter_bits(bits: int) -> Iterator[int]:
+    """Positions of the set bits of ``bits``, in increasing order."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 @dataclass(frozen=True)
 class Granulation:
     """An ordered tuple of distinct nonempty granules over one universe."""

@@ -17,9 +17,10 @@ bare failure.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     EXHAUSTIVE_CAP,
@@ -30,6 +31,8 @@ from .core import (
     Witness,
     _check_cap,
     binding,
+    iter_bits,
+    iter_submasks,
 )
 from .approx import require_alpha, require_grade, vprs_tables
 from .inclusion import InclusionFn, kappa_k0
@@ -43,10 +46,14 @@ PROPERTY_NAMES = ("reflexive", "part-compatible", "mutual-rough-equal",
 
 Equivalence = Callable[[ESet, ESet], bool]
 
-# The precision-tuned image each image-comparing tag reads; s0l and s0u
-# also hold the measure to a threshold.
+# The image each image-comparing tag compares by inclusion: a
+# precision-tuned table from the VPRS kernel, or for s9 the profile of
+# granules the set reaches the precision on.
 _IMAGE_OF = {"s5": "lower", "s7": "lower", "s0l": "lower",
-             "s5*": "star_lower", "s0u": "upper", "pu": "upper"}
+             "s5*": "star_lower", "s0u": "upper", "pu": "upper",
+             "s9": "profile"}
+# s0l and s0u also hold the measure to a floor set by the precision.
+_FLOOR_OF = {"s0l": lambda alpha: 1 - alpha, "s0u": lambda alpha: alpha}
 
 
 @dataclass(frozen=True)
@@ -62,11 +69,12 @@ class BuildContext:
 
 @dataclass(frozen=True)
 class ParthoodRelation:
-    """An explicit parthood relation: every holding pair, materialized."""
+    """An explicit parthood relation, one bitset row per subset mask: bit
+    ``b`` of ``rows[a]`` is set exactly when the pair (a, b) holds."""
 
     tag: str
     universe: Universe
-    pairs: frozenset[tuple[int, int]]
+    rows: tuple[int, ...]
     parameters: tuple[tuple[str, str], ...] = ()
     context: BuildContext | None = field(default=None, repr=False,
                                          compare=False)
@@ -74,17 +82,21 @@ class ParthoodRelation:
     def holds(self, a: ESet, b: ESet) -> bool:
         if a.universe != self.universe or b.universe != self.universe:
             raise ValueError("subsets belong to a different universe")
-        return (a.mask, b.mask) in self.pairs
+        return self.rows[a.mask] >> b.mask & 1 == 1
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Every holding pair of masks, sorted; derived from the rows."""
+        return tuple((am, bm) for am, row in enumerate(self.rows)
+                     for bm in iter_bits(row))
 
     def extension(self) -> tuple[tuple[ESet, ESet], ...]:
-        return tuple(
-            (ESet(self.universe, am), ESet(self.universe, bm))
-            for am, bm in sorted(self.pairs)
-        )
+        return tuple((ESet(self.universe, am), ESet(self.universe, bm))
+                     for am, bm in self.pairs)
 
     @property
     def size(self) -> int:
-        return len(self.pairs)
+        return sum(row.bit_count() for row in self.rows)
 
 
 def _as_tset(granulation: Granulation,
@@ -100,6 +112,35 @@ def _as_tset(granulation: Granulation,
     return tuple(out)
 
 
+def _image(tag: str, ctx: BuildContext) -> Sequence[int]:
+    """The image of every subset mask under an image-comparing tag."""
+    g, kap, alpha = ctx.granulation, ctx.kappa, ctx.alpha
+    if _IMAGE_OF[tag] == "profile":
+        return [sum(1 << i for i, h in enumerate(g.masks)
+                    if kap.on_masks(g.universe, m, h) >= alpha)
+                for m in range(g.universe.full_mask + 1)]
+    return getattr(vprs_tables(g, kap, alpha), _IMAGE_OF[tag])
+
+
+def _preorder_rows(img: Sequence[int]) -> list[int]:
+    """Rows of the preorder ``img[a] <= img[b]``, one OR of image classes
+    per distinct image."""
+    members: dict[int, int] = {}
+    for m, value in enumerate(img):
+        members[value] = members.get(value, 0) | 1 << m
+    above = {low: sum(bits for value, bits in members.items()
+                      if low & ~value == 0)
+             for low in members}
+    return [above[value] for value in img]
+
+
+def _supersets(size: int) -> list[int]:
+    """Entry ``a`` is the bitset of every superset of mask ``a``."""
+    full = (1 << size) - 1
+    return [sum(1 << (a | s) for s in iter_submasks(full & ~a))
+            for a in range(full + 1)]
+
+
 def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
                    kappa: InclusionFn | None = None,
                    alpha: Fraction | int | str = 0, k: int = 0,
@@ -108,11 +149,12 @@ def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
                    override: bool = False) -> ParthoodRelation:
     """Materialize one parthood predicate over the whole powerset.
 
-    The sweep enumerates all pairs of subsets, so it is guarded as a
+    The relation covers all pairs of subsets, so it is guarded as a
     sweep of twice the universe size. Grade-style tags read ``k``,
     precision-style tags read ``kappa`` and ``alpha``, and the designated
     tag ``st`` reads ``tset`` (granules that must come from the
     granulation; the default is none, making the relation empty).
+    Image-comparing tags build one preorder over their distinct images.
     """
     if tag not in PARTHOOD_TAGS:
         raise ValueError(
@@ -128,68 +170,52 @@ def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
     k = require_grade(k)
     designated = _as_tset(granulation, tset)
     ctx = BuildContext(granulation, kap, alpha, k, designated)
-    full = universe.full_mask
-    masks = range(full + 1)
+    masks = range(universe.full_mask + 1)
 
     pred: Callable[[int, int], bool]
-    if tag == "s3":
-        def pred(am, bm):
-            return (am & bm).bit_count() > k and am & ~bm == 0
-    elif tag == "s6":
-        def pred(am, bm):
-            return am & ~bm == 0 and am.bit_count() > k
-    elif tag == "s*":
-        def pred(am, bm):
-            proper = bm & ~am == 0 and bm != am
-            return (am & bm).bit_count() > k and not proper
-    elif tag == "st":
-        tmasks = tuple(h.mask for h in designated)
-
-        def pred(am, bm):
-            return am & ~bm == 0 and any(t & ~am == 0 for t in tmasks)
-    elif tag in ("s5", "s5*", "s0l", "s0u", "pu"):
-        img = getattr(vprs_tables(granulation, kap, alpha), _IMAGE_OF[tag])
-        if tag in ("s0l", "s0u"):
-            need = 1 - alpha if tag == "s0l" else alpha
+    if tag in ("s3", "s6", "s*", "st", "s7"):
+        if tag == "s3":
+            def pred(am, bm):
+                return (am & bm).bit_count() > k and am & ~bm == 0
+        elif tag == "s6":
+            def pred(am, bm):
+                return am & ~bm == 0 and am.bit_count() > k
+        elif tag == "s*":
+            def pred(am, bm):
+                proper = bm & ~am == 0 and bm != am
+                return (am & bm).bit_count() > k and not proper
+        elif tag == "st":
+            tmasks = tuple(h.mask for h in designated)
 
             def pred(am, bm):
-                return img[am] & ~img[bm] == 0 and \
-                    kap.on_masks(universe, am, bm) >= need
+                return am & ~bm == 0 and any(t & ~am == 0 for t in tmasks)
         else:
+            # Same intent as s5, rebuilt granule by granule instead of
+            # through the preorder of lower images; the two must agree.
+            lo = vprs_tables(granulation, kap, alpha).lower
+            need = 1 - alpha
+            inside = [[g for g in granulation.masks if g & ~am == 0
+                       and kap.on_masks(universe, am, g) >= need]
+                      for am in masks]
+
             def pred(am, bm):
-                return img[am] & ~img[bm] == 0
-    elif tag == "s7":
-        # Same intent as s5, rebuilt granule by granule instead of through
-        # the lower-approximation images; the two routes must agree.
-        lo = vprs_tables(granulation, kap, alpha).lower
-        need = 1 - alpha
-        inside = [[g for g in granulation.masks
-                   if g & ~am == 0 and kap.on_masks(universe, am, g) >= need]
-                  for am in masks]
+                return all(g & ~lo[bm] == 0 for g in inside[am])
+        rows = [sum(1 << bm for bm in masks if pred(am, bm))
+                for am in masks]
+    else:
+        rows = _preorder_rows(_image(tag, ctx))
+        if tag in _FLOOR_OF:
+            floor = _FLOOR_OF[tag](alpha)
+            rows = [sum(1 << bm for bm in iter_bits(row)
+                        if kap.on_masks(universe, am, bm) >= floor)
+                    for am, row in enumerate(rows)]
 
-        def pred(am, bm):
-            return all(g & ~lo[bm] == 0 for g in inside[am])
-    elif tag == "s9":
-        alpha_at_least = []
-        gmasks = granulation.masks
-        for m in masks:
-            prof = 0
-            for i, g in enumerate(gmasks):
-                if kap.on_masks(universe, m, g) >= alpha:
-                    prof |= 1 << i
-            alpha_at_least.append(prof)
-
-        def pred(am, bm):
-            return alpha_at_least[am] & ~alpha_at_least[bm] == 0
-
-    pairs = frozenset(
-        (am, bm) for am in masks for bm in masks if pred(am, bm))
     params = [("kappa", kap.describe()), ("alpha", str(alpha)),
               ("k", str(k))]
     if tag == "st":
         params.append(("designated",
                        ",".join(h.label() for h in designated) or "none"))
-    return ParthoodRelation(tag, universe, pairs, tuple(params), ctx)
+    return ParthoodRelation(tag, universe, tuple(rows), tuple(params), ctx)
 
 
 @dataclass(frozen=True)
@@ -255,36 +281,36 @@ def _default_equivalence(relation: ParthoodRelation) -> Equivalence:
     """Rough equality appropriate to the relation's tag.
 
     Mutual parts are only ever claimed equal up to what the predicate can
-    see: approximation images for the image-comparing tags, threshold
-    profiles for the profile tag, and literal equality otherwise.
+    see: approximation images or threshold profiles for the
+    image-comparing tags, and literal equality otherwise.
     """
     ctx = relation.context
     tag = relation.tag
-    if ctx is None or tag in ("s3", "s6", "s*", "st"):
+    if ctx is None or tag not in _IMAGE_OF:
         return lambda a, b: a.mask == b.mask
-    g, kap, alpha = ctx.granulation, ctx.kappa, ctx.alpha
-    if tag == "s9":
-        def prof(x: ESet) -> tuple[bool, ...]:
-            return tuple(kap(x, h) >= alpha for h in g)
-        return lambda a, b: prof(a) == prof(b)
-    img = getattr(vprs_tables(g, kap, alpha), _IMAGE_OF[tag])
-    if tag in ("s0l", "s0u"):
-        need = 1 - alpha if tag == "s0l" else alpha
+    img = _image(tag, ctx)
+    if tag in _FLOOR_OF:
+        kap, floor = ctx.kappa, _FLOOR_OF[tag](ctx.alpha)
         return lambda a, b: (img[a.mask] == img[b.mask]
-                             and kap(a, b) >= need and kap(b, a) >= need)
+                             and kap(a, b) >= floor and kap(b, a) >= floor)
     return lambda a, b: img[a.mask] == img[b.mask]
 
 
+_ABOVE_GRADE = ("cardinality above the grade",
+                lambda ctx, a: a.cardinality > ctx.k)
 _REFLEXIVITY_CONDITIONS: dict[str, tuple[str, Callable[..., bool]]] = {
-    "s3": ("cardinality above the grade",
-           lambda ctx, a: a.cardinality > ctx.k),
-    "s6": ("cardinality above the grade",
-           lambda ctx, a: a.cardinality > ctx.k),
-    "s*": ("cardinality above the grade",
-           lambda ctx, a: a.cardinality > ctx.k),
+    "s3": _ABOVE_GRADE, "s6": _ABOVE_GRADE, "s*": _ABOVE_GRADE,
     "st": ("some designated granule inside the set",
            lambda ctx, a: any(t <= a for t in ctx.tset)),
 }
+
+
+def _first_bits(cases: Iterable[tuple[int, ...]]
+                ) -> Iterator[tuple[int, ...]]:
+    """Cases with a nonzero last entry, that bitset cut to its lowest bit."""
+    for *fixed, bits in cases:
+        if bits:
+            yield (*fixed, (bits & -bits).bit_length() - 1)
 
 
 def analyze_properties(relation: ParthoodRelation, *,
@@ -294,17 +320,23 @@ def analyze_properties(relation: ParthoodRelation, *,
                        override: bool = False) -> PropertyProfile:
     """Check the framework conditions for a materialized relation.
 
-    Pair properties sweep all pairs, triple properties all triples, so
-    the universe is guarded by the triple cap. ``equivalence`` overrides
-    the tag's default rough equality for the mutual-parts condition.
+    Pair properties are row and column expressions, and triple
+    properties range over all triples, so the universe is guarded by the
+    triple cap. ``equivalence`` overrides the tag's default rough
+    equality for the mutual-parts condition. A failing property reports
+    its first witness in sorted pair order, whatever ``max_witnesses``.
     """
     universe = relation.universe
     _check_cap(universe.size, cap, override, "the property triple sweep")
     eq = equivalence if equivalence is not None \
         else _default_equivalence(relation)
-    full = universe.full_mask
-    masks = range(full + 1)
-    pairs = relation.pairs
+    masks = range(universe.full_mask + 1)
+    rows = relation.rows
+    cols = [sum(1 << am for am in masks if rows[am] >> bm & 1)
+            for bm in masks]
+    row_bits = [list(iter_bits(row)) for row in rows]
+    col_bits = [list(iter_bits(col)) for col in cols]
+    up = _supersets(universe.size)
 
     def ev(m: int) -> ESet:
         return ESet(universe, m)
@@ -312,99 +344,55 @@ def analyze_properties(relation: ParthoodRelation, *,
     def w(**kw: int) -> Witness:
         return tuple(binding(name, ev(m)) for name, m in kw.items())
 
+    # Each property yields its failures lazily, in sorted pair order.
+    failures: dict[str, Iterator[Witness]] = {
+        "reflexive": (w(a=m) for m in masks if not rows[m] >> m & 1),
+        "part-compatible": (w(a=a, b=b) for a, b in _first_bits(
+            (m, rows[m] & ~up[m]) for m in masks)),
+        "mutual-rough-equal": (
+            w(a=am, b=bm) for am in masks
+            for bm in iter_bits(rows[am] & cols[am] & ~((2 << am) - 1))
+            if not eq(ev(am), ev(bm))),
+        # A failing join is symmetric in its two sets, so the first
+        # witness of either join rule has b after its partner e or a.
+        "join-compatible": (
+            w(a=am, e=em, b=bm) for am in masks
+            for i, em in enumerate(row_bits[am])
+            for bm in row_bits[am][i + 1:] if not rows[am] >> (bm | em) & 1),
+        "l-euclidean": (w(a=a, b=b, e=e) for b, a, e in _first_bits(
+            (bm, am, rows[bm] & up[am] & ~rows[am])
+            for bm in masks for am in row_bits[bm])),
+        "r-euclidean": (w(a=a, b=b, e=e) for a, b, e in _first_bits(
+            (am, bm, cols[bm] & up[am] & ~rows[am])
+            for am in masks for bm in row_bits[am])),
+        "antisymmetric": (w(a=a, b=b) for a, b in _first_bits(
+            (m, rows[m] & cols[m] & ~(1 << m)) for m in masks)),
+        "join-stable": (
+            w(a=am, b=bm, e=em) for am in masks for em in row_bits[am]
+            for bm in col_bits[em][bisect_right(col_bits[em], am):]
+            if not cols[em] >> (am | bm) & 1),
+        "transitive": (w(a=a, b=b, c=c) for a, b, c in _first_bits(
+            (am, bm, rows[bm] & ~rows[am])
+            for am in masks for bm in row_bits[am])),
+        "symmetric": (w(a=a, b=b) for a, b in _first_bits(
+            (m, rows[m] & ~cols[m]) for m in masks)),
+    }
+
     statuses: list[PropertyStatus] = []
-
-    def settle(name: str, fails: list[Witness]) -> None:
-        if not fails:
+    ctx = relation.context
+    cond = _REFLEXIVITY_CONDITIONS.get(relation.tag)
+    for name, fails in failures.items():
+        witness = next(fails, None)
+        if witness is None:
             statuses.append(PropertyStatus(name, "holds"))
-            return
-        ctx = relation.context
-        cond = _REFLEXIVITY_CONDITIONS.get(relation.tag)
-        if name == "reflexive" and cond is not None and ctx is not None:
-            text, test = cond
-            if all(((m, m) in pairs) == test(ctx, ev(m)) for m in masks):
-                statuses.append(
-                    PropertyStatus(name, "conditional", None,
-                                   f"reflexive exactly on sets with {text}"))
-                return
-        statuses.append(PropertyStatus(name, "fails", fails[0]))
-
-    fails = [w(a=m) for m in masks if (m, m) not in pairs]
-    settle("reflexive", fails[:max_witnesses])
-
-    fails = [w(a=am, b=bm) for am, bm in sorted(pairs) if am & ~bm]
-    settle("part-compatible", fails[:max_witnesses])
-
-    fails = []
-    for am, bm in sorted(pairs):
-        if (bm, am) in pairs and am < bm and not eq(ev(am), ev(bm)):
-            fails.append(w(a=am, b=bm))
-    settle("mutual-rough-equal", fails[:max_witnesses])
-
-    fails = []
-    for am, em in sorted(pairs):
-        for bm in masks:
-            if (am, bm) in pairs and (am, bm | em) not in pairs:
-                fails.append(w(a=am, e=em, b=bm))
-                break
-        if len(fails) >= max_witnesses:
-            break
-    settle("join-compatible", fails)
-
-    fails = []
-    for bm, am in sorted(pairs):
-        for em in masks:
-            if (bm, em) in pairs and am & ~em == 0 \
-                    and (am, em) not in pairs:
-                fails.append(w(a=am, b=bm, e=em))
-                break
-        if len(fails) >= max_witnesses:
-            break
-    settle("l-euclidean", fails)
-
-    fails = []
-    for am, bm in sorted(pairs):
-        for em in masks:
-            if (em, bm) in pairs and am & ~em == 0 \
-                    and (am, em) not in pairs:
-                fails.append(w(a=am, b=bm, e=em))
-                break
-        if len(fails) >= max_witnesses:
-            break
-    settle("r-euclidean", fails)
-
-    fails = []
-    for am, bm in sorted(pairs):
-        if (bm, am) in pairs and am != bm:
-            fails.append(w(a=am, b=bm))
-            if len(fails) >= max_witnesses:
-                break
-    settle("antisymmetric", fails)
-
-    fails = []
-    for am, em in sorted(pairs):
-        for bm in masks:
-            if (bm, em) in pairs and (am | bm, em) not in pairs:
-                fails.append(w(a=am, b=bm, e=em))
-                break
-        if len(fails) >= max_witnesses:
-            break
-    settle("join-stable", fails)
-
-    fails = []
-    for am, bm in sorted(pairs):
-        for cm in masks:
-            if (bm, cm) in pairs and (am, cm) not in pairs:
-                fails.append(w(a=am, b=bm, c=cm))
-                break
-        if len(fails) >= max_witnesses:
-            break
-    settle("transitive", fails)
-
-    fails = [w(a=am, b=bm) for am, bm in sorted(pairs)
-             if (bm, am) not in pairs]
-    settle("symmetric", fails[:max_witnesses])
-
+        elif name == "reflexive" and cond is not None and ctx is not None \
+                and all(bool(rows[m] >> m & 1) == cond[1](ctx, ev(m))
+                        for m in masks):
+            statuses.append(PropertyStatus(
+                name, "conditional", None,
+                f"reflexive exactly on sets with {cond[0]}"))
+        else:
+            statuses.append(PropertyStatus(name, "fails", witness))
     return PropertyProfile(relation.tag, tuple(statuses),
                            relation.parameters)
 

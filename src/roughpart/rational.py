@@ -141,15 +141,23 @@ def rational_upper(a: ESet, upper: Operator, lower: Operator,
     preimage producing it. When nothing qualifies the result is
     undefined.
     """
-    ps = _as_predicate(substantial)
     universe = a.universe
     _check_cap(universe.size * 2, cap, override,
                "the rational upper search")
-    preimage: dict[int, int] = {}
-    for m, v in enumerate(image_table(universe, upper)):
-        preimage.setdefault(v, m)
     definites = _nonempty_definites(universe, image_table(universe, lower))
-    aup = upper(a)
+    return _upper_search(a, image_table(universe, upper), definites,
+                         _as_predicate(substantial))
+
+
+def _upper_search(a: ESet, up: list[int], definites: list[ESet],
+                  ps: Substantial) -> RationalResult:
+    """The candidate search of :func:`rational_upper`, reading upper
+    images from ``up``, the upper table indexed by mask."""
+    universe = a.universe
+    preimage: dict[int, int] = {}
+    for m, v in enumerate(up):
+        preimage.setdefault(v, m)
+    aup = ESet(universe, up[a.mask])
     candidates = sorted(preimage,
                         key=lambda v: (v.bit_count(), v))
     qualifying: list[ESet] = []
@@ -180,13 +188,10 @@ def _relation_for(universe: Universe,
                   ) -> ParthoodRelation:
     if isinstance(substantial, ParthoodRelation):
         return substantial
-    ps = substantial
-    full = universe.full_mask
-    pairs = frozenset(
-        (am, bm)
-        for am in range(full + 1) for bm in range(full + 1)
-        if ps(ESet(universe, am), ESet(universe, bm)))
-    return ParthoodRelation("custom", universe, pairs)
+    subsets = [ESet(universe, m) for m in range(universe.full_mask + 1)]
+    rows = tuple(sum(1 << b.mask for b in subsets if substantial(a, b))
+                 for a in subsets)
+    return ParthoodRelation("custom", universe, rows)
 
 
 def check_rational_proposition(universe: Universe, lower: Operator,
@@ -283,8 +288,7 @@ def check_rational_proposition(universe: Universe, lower: Operator,
         open_fails = []
         for m in masks:
             x = ev(m)
-            res = rational_upper(x, upper, lower, ps, cap=cap,
-                                 override=override)
+            res = _upper_search(x, up, definites, ps)
             if not res.defined:
                 continue
             defined += 1

@@ -19,6 +19,7 @@ run sequentially and their results are merged in a fixed order.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ from .core import (
     check_admissibility,
     check_ggs_axioms,
     image_table,
+    iter_bits,
     iter_submasks,
     neighborhood_map,
 )
@@ -586,6 +588,15 @@ def _prif_task(ktag: str, size: int) -> Task:
     return key, run
 
 
+def _row_diff(first: Sequence[int], second: Sequence[int]
+              ) -> list[tuple[int, int]]:
+    """The first five mask pairs, in sorted order, held by exactly one of
+    two relations given as bitset rows."""
+    diff = ((am, bm) for am, (x, y) in enumerate(zip(first, second))
+            for bm in iter_bits(x ^ y))
+    return list(itertools.islice(diff, 5))
+
+
 def _parthood_equality_task(fixture: Fixture, ktag: str, kap: InclusionFn,
                             alpha: Fraction) -> Task:
     key = f"{fixture.name}/{ktag}/{alpha}"
@@ -597,10 +608,8 @@ def _parthood_equality_task(fixture: Fixture, ktag: str, kap: InclusionFn,
         ces_pu: list[Counterexample] = []
         r5 = build_parthood("s5", universe, g, kappa=kap, alpha=alpha)
         r7 = build_parthood("s7", universe, g, kappa=kap, alpha=alpha)
-        for am, bm in sorted(r5.pairs ^ r7.pairs):
-            if len(ces_57) >= 5:
-                break
-            where = "first-route-only" if (am, bm) in r5.pairs \
+        for am, bm in _row_diff(r5.rows, r7.rows):
+            where = "first-route-only" if r5.rows[am] >> bm & 1 \
                 else "second-route-only"
             ces_57.append(Counterexample(
                 fixture.name, kap.describe(), str(alpha),
@@ -609,12 +618,10 @@ def _parthood_equality_task(fixture: Fixture, ktag: str, kap: InclusionFn,
 
         r0u = build_parthood("s0u", universe, g, kappa=kap, alpha=alpha)
         rpu = build_parthood("pu", universe, g, kappa=kap, alpha=alpha)
-        derived = frozenset(
-            (am, bm) for am, bm in rpu.pairs
-            if kap.on_masks(universe, am, bm) >= alpha)
-        for am, bm in sorted(r0u.pairs ^ derived):
-            if len(ces_pu) >= 5:
-                break
+        derived = [sum(1 << bm for bm in iter_bits(row)
+                       if kap.on_masks(universe, am, bm) >= alpha)
+                   for am, row in enumerate(rpu.rows)]
+        for am, bm in _row_diff(r0u.rows, derived):
             ces_pu.append(Counterexample(
                 fixture.name, kap.describe(), str(alpha),
                 _wit(universe, a=am, b=bm)))
@@ -633,9 +640,7 @@ def _parthood_grade_task(fixture: Fixture, k: int) -> Task:
         r3 = build_parthood("s3", universe, g, k=k)
         r6 = build_parthood("s6", universe, g, k=k)
         ces: list[Counterexample] = []
-        for am, bm in sorted(r3.pairs ^ r6.pairs):
-            if len(ces) >= 5:
-                break
+        for am, bm in _row_diff(r3.rows, r6.rows):
             ces.append(Counterexample(fixture.name, "", f"k={k}",
                                       _wit(universe, a=am, b=bm)))
         return [_Eval("s6-equals-s3", (universe.full_mask + 1) ** 2, ces)]
@@ -650,20 +655,16 @@ def _s3_extension_task() -> Task:
         relation = build_parthood("s3", universe, fixture.granulation,
                                   k=STANDARD_GRADE)
         # Second route through member sets rather than masks.
-        expected = set()
         members = [frozenset(ESet(universe, m).members)
                    for m in range(universe.full_mask + 1)]
-        for am, a in enumerate(members):
-            for bm, b in enumerate(members):
-                if len(a & b) > STANDARD_GRADE and a <= b:
-                    expected.add((am, bm))
-        ok = relation.pairs == frozenset(expected) and relation.size == 33
+        expected = [sum(1 << bm for bm, b in enumerate(members)
+                        if len(a & b) > STANDARD_GRADE and a <= b)
+                    for a in members]
+        diff = _row_diff(relation.rows, expected)
+        ok = not diff and relation.size == 33
         note = f"{relation.size} pairs" + ("" if ok else "; routes disagree")
-        ces = []
-        if not ok:
-            for am, bm in sorted(relation.pairs ^ expected)[:5]:
-                ces.append(Counterexample("standard", "", f"k={STANDARD_GRADE}",
-                                          _wit(universe, a=am, b=bm)))
+        ces = [Counterexample("standard", "", f"k={STANDARD_GRADE}",
+                              _wit(universe, a=am, b=bm)) for am, bm in diff]
         return [_Eval("s3-standard-extension", len(members) ** 2, ces, (),
                       note, ok)]
 
@@ -697,15 +698,13 @@ def _pu_classes_task() -> Task:
             ok = False
             notes.append("middle classes unexpectedly comparable")
         # The relation must be exactly what the class order induces.
-        value_of = {}
+        derived = [0] * (universe.full_mask + 1)
         for cls, value in zip(result.classes, values):
+            above = sum(1 << m.mask for c, v in zip(result.classes, values)
+                        if value <= v for m in c)
             for m in cls:
-                value_of[m.mask] = value.mask
-        derived = frozenset(
-            (am, bm)
-            for am in value_of for bm in value_of
-            if value_of[am] & ~value_of[bm] == 0)
-        if derived != result.relation.pairs:
+                derived[m.mask] = above
+        if _row_diff(result.relation.rows, derived):
             ok = False
             notes.append("class-induced order disagrees with the relation")
         return [_Eval("pu-classes", (universe.full_mask + 1) ** 2, [], (),

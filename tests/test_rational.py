@@ -239,3 +239,51 @@ def test_exhaustive_proposition_reads_one_lower_table():
     values = [rational_lower(x, lower, relation, mode="exhaustive").value
               for x in u.subsets()]
     assert [v.mask for v in values] == S0U_EXHAUSTIVE_VALUES
+
+
+# The two upper reports and rational upper values of the same s0u
+# relation, as the search produced them when it rebuilt both image tables
+# per subset.
+S0U_UPPER_REPORTS = [
+    ("upper-compatible", True, (),
+     (("hypothesis", "not-met"), ("defined-points", "62/64"))),
+    ("upper-compatible-open", False,
+     ((("a", ("e4",)),), (("a", ("e3", "e4")),), (("a", ("e4", "e5")),)),
+     (("hypothesis", "not-met"), ("defined-points", "62/64"),
+      ("status", "open question; reported, not asserted"))),
+]
+S0U_UPPER_VALUES = [
+    0, 35, 14, 35, 14, 15, 14, 15, 14, 15, 14, 15, 14, 15, 14, 15,
+    56, 57, 59, 59, None, 63, 63, 63, 56, 57, 59, 59, None, 63, 63, 63,
+    56, 35, 35, 35, 47, 47, 47, 47, 56, 57, 47, 47, 47, 47, 47, 47,
+    56, 57, 59, 59, 63, 63, 63, 63, 56, 57, 59, 59, 63, 63, 63, 63,
+]
+
+
+def test_upper_proposition_reads_one_table_per_operator():
+    u = Universe(tuple(f"e{i}" for i in range(1, 7)))
+    g = Granulation.of(u, (("e1", "e2"), ("e2", "e3", "e4"), ("e5",),
+                           ("e4", "e5", "e6"), ("e1", "e6")))
+    relation = build_parthood("s0u", u, g, alpha=Fraction(1, 5))
+    calls = {"lower": 0, "upper": 0}
+
+    def lower(x):
+        calls["lower"] += 1
+        return classical_lower(x, g)
+
+    def upper(x):
+        calls["upper"] += 1
+        return classical_upper(x, g)
+
+    for mode in LOWER_MODES:
+        calls.update(lower=0, upper=0)
+        reports = check_rational_proposition(u, lower, relation,
+                                             upper=upper, mode=mode)
+        assert calls["lower"] <= 2 * 2 ** u.size, mode
+        assert calls["upper"] <= 2 * 2 ** u.size, mode
+        assert [(r.name, r.holds, r.witnesses, r.parameters)
+                for r in reports] == S0U_REPORTS + S0U_UPPER_REPORTS
+    values = [rational_upper(x, upper, lower, relation).value
+              for x in u.subsets()]
+    assert [None if v is None else v.mask for v in values] \
+        == S0U_UPPER_VALUES
