@@ -304,13 +304,13 @@ def plain_profile(rel, pairs, max_witnesses):
     def w(**kw):
         return tuple(binding(name, ev(m)) for name, m in kw.items())
 
+    above_grade = ("cardinality above the grade",
+                   lambda ctx, a: a.cardinality > ctx.k)
     reflexive_on = {
-        "s3": lambda ctx, a: a.cardinality > ctx.k,
-        "s6": lambda ctx, a: a.cardinality > ctx.k,
-        "s*": lambda ctx, a: a.cardinality > ctx.k,
-        "st": lambda ctx, a: any(t <= a for t in ctx.tset),
+        "s3": above_grade, "s6": above_grade, "s*": above_grade,
+        "st": ("some designated granule inside the set",
+               lambda ctx, a: any(t <= a for t in ctx.tset)),
     }
-    condition = {"st": "some designated granule inside the set"}
     out = []
 
     def settle(name, fails):
@@ -318,10 +318,10 @@ def plain_profile(rel, pairs, max_witnesses):
             out.append((name, "holds", None, None))
             return
         ctx = rel.context
-        test = reflexive_on.get(rel.tag)
-        if name == "reflexive" and test is not None and ctx is not None:
+        cond = reflexive_on.get(rel.tag)
+        if name == "reflexive" and cond is not None and ctx is not None:
+            text, test = cond
             if all(((m, m) in pairs) == test(ctx, ev(m)) for m in masks):
-                text = condition.get(rel.tag, "cardinality above the grade")
                 out.append((name, "conditional", None,
                             f"reflexive exactly on sets with {text}"))
                 return
