@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -30,6 +31,7 @@ from roughpart import (
     kappa_k2,
     kappa_st,
 )
+from roughpart.inclusion import SWEPT_AXIOMS
 from conftest import subsets_by_label
 
 
@@ -171,28 +173,78 @@ def random_measures(draw):
     return u, _table_kappa(u, values)
 
 
-@settings(max_examples=25, deadline=None)
-@given(random_measures(), st.sampled_from([a for a in VALID_AXIOMS
-                                           if a != "RI-np"]))
-def test_sweep_agrees_with_instance_evaluation(um, axiom):
+_INSTANCE_NAMES = {"U1": ("a",), "R0": ("a", "b"), "IR0": ("a", "b"),
+                   "R1": ("a", "b"), "R2": ("a", "b", "c"),
+                   "R3": ("a", "b", "c"), "R4": ("a", "b"), "IR4": ("a", "b"),
+                   "R5": ("a", "b"), "RB": ("a",), "R6": ("a", "b", "c"),
+                   "RV": ("a", "b", "c"), "RI": ("a", "b", "c"),
+                   "RI-np": ("a", "b", "c")}
+
+
+def _brute_failures(kappa, axiom, universe, deltas):
+    """Every failing instance, formatted as a witness, over the product of
+    all subsets and the given thresholds."""
+    names = _INSTANCE_NAMES[axiom]
+    sets = list(universe.subsets())
+    out = []
+    for delta in deltas:
+        for combo in itertools.product(sets, repeat=len(names)):
+            bindings = dict(zip(names, combo))
+            if not evaluate_axiom_instance(kappa, axiom, bindings,
+                                           delta=delta):
+                w = tuple((n, s.members) for n, s in bindings.items())
+                if delta is not None:
+                    w += (("delta", (str(delta),)),)
+                out.append(w)
+    return out
+
+
+@st.composite
+def near_shipped_measures(draw):
+    """A shipped measure on three elements with up to three table cells
+    overwritten, so that failures are few and verdicts can hold."""
+    u = Universe(("p", "q", "r"))
+    base = draw(st.sampled_from([kappa_k0(), kappa_k1(), kappa_k2(),
+                                 kappa_st("1/5", "4/5")]))
+    cells = range(u.full_mask + 1)
+    values = {(am, bm): base.on_masks(u, am, bm)
+              for am in cells for bm in cells}
+    for _ in range(draw(st.integers(0, 3))):
+        key = (draw(st.sampled_from(cells)), draw(st.sampled_from(cells)))
+        values[key] = draw(quarters)
+    return u, _table_kappa(u, values)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(random_measures(), near_shipped_measures()),
+       st.integers(1, 4),
+       st.sampled_from([Fraction(n, 4) for n in range(5)]
+                       + [Fraction(1, 3), Fraction(3, 10)]))
+def test_sweep_agrees_with_instance_evaluation(um, max_witnesses, pinned):
     universe, kappa = um
-    delta = Fraction(1, 2) if axiom in ("RV", "RI") else None
-    report = check_axiom(kappa, axiom, universe, delta=delta)
-    names = {"U1": ("a",), "R0": ("a", "b"), "IR0": ("a", "b"),
-             "R1": ("a", "b"), "R2": ("a", "b", "c"), "R3": ("a", "b", "c"),
-             "R4": ("a", "b"), "IR4": ("a", "b"), "R5": ("a", "b"),
-             "RB": ("a",), "R6": ("a", "b", "c"), "RV": ("a", "b", "c"),
-             "RI": ("a", "b", "c")}[axiom]
-    brute = True
-    full = universe.full_mask
-    masks = range(full + 1)
-    import itertools
-    for combo in itertools.product(masks, repeat=len(names)):
-        bindings = {n: ESet(universe, m) for n, m in zip(names, combo)}
-        if not evaluate_axiom_instance(kappa, axiom, bindings, delta=delta):
-            brute = False
-            break
-    assert report.holds == brute
+    runs = [(a, None) for a in VALID_AXIOMS if a not in SWEPT_AXIOMS]
+    runs += [(a, d) for a in SWEPT_AXIOMS for d in (pinned, None)]
+    for axiom, delta in runs:
+        report = check_axiom(kappa, axiom, universe, delta=delta,
+                             max_witnesses=max_witnesses)
+        if axiom not in SWEPT_AXIOMS:
+            deltas = (None,)
+        elif delta is None:
+            deltas = default_delta_sweep(universe.size)
+        else:
+            deltas = (delta,)
+        brute = _brute_failures(kappa, axiom, universe, deltas)
+        assert report.holds == (not brute), (axiom, delta)
+        assert len(report.witnesses) == min(max_witnesses, len(brute))
+        assert len(set(report.witnesses)) == len(report.witnesses)
+        for w in report.witnesses:
+            assert w in brute, (axiom, delta, w)
+            named = dict(w)
+            own = Fraction(named.pop("delta")[0]) if "delta" in named \
+                else None
+            bindings = {n: universe.subset(m) for n, m in named.items()}
+            assert not evaluate_axiom_instance(kappa, axiom, bindings,
+                                               delta=own)
 
 
 @settings(max_examples=20, deadline=None)
