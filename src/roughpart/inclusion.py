@@ -19,6 +19,7 @@ axioms that any [0, 1]-valued measure must respect.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
@@ -28,7 +29,6 @@ from .core import (
     CheckReport,
     ESet,
     Universe,
-    Witness,
     _check_cap,
     binding,
     iter_submasks,
@@ -239,202 +239,54 @@ def default_delta_sweep(size: int) -> tuple[Fraction, ...]:
     return tuple(sorted(grid))
 
 
-def _wit(universe: Universe, delta: Fraction | None = None,
-         **named: int) -> Witness:
-    parts = [binding(k, ESet(universe, m)) for k, m in named.items()]
-    if delta is not None:
-        parts.append(("delta", (str(delta),)))
-    return tuple(parts)
-
-
-def _sweep_u1(val, universe, deltas, cap_n):
-    out = []
-    for a in range(universe.full_mask + 1):
-        if val(a, a) != ONE:
-            out.append(_wit(universe, a=a))
-            if len(out) >= cap_n:
-                return out
-    return out
-
-
-def _sweep_r0(val, universe, deltas, cap_n):
-    out = []
-    for b in range(universe.full_mask + 1):
-        for a in iter_submasks(b):
-            if val(a, b) != ONE:
-                out.append(_wit(universe, a=a, b=b))
-                if len(out) >= cap_n:
-                    return out
-    return out
-
-
-def _sweep_ir0(val, universe, deltas, cap_n):
-    out = []
-    for a in range(universe.full_mask + 1):
-        for b in range(universe.full_mask + 1):
-            if val(a, b) == ONE and a & ~b:
-                out.append(_wit(universe, a=a, b=b))
-                if len(out) >= cap_n:
-                    return out
-    return out
-
-
-def _sweep_r1(val, universe, deltas, cap_n):
-    out = []
-    for a in range(universe.full_mask + 1):
-        for b in range(universe.full_mask + 1):
-            if (val(a, b) == ONE) != (a & ~b == 0):
-                out.append(_wit(universe, a=a, b=b))
-                if len(out) >= cap_n:
-                    return out
-    return out
-
-
-def _sweep_r2(val, universe, deltas, cap_n):
-    out = []
-    full = universe.full_mask
-    for b in range(full + 1):
-        for c in range(full + 1):
-            if val(b, c) != ONE:
-                continue
-            for a in range(full + 1):
-                if val(a, b) > val(a, c):
-                    out.append(_wit(universe, a=a, b=b, c=c))
-                    if len(out) >= cap_n:
-                        return out
-    return out
-
-
-def _sweep_r3(val, universe, deltas, cap_n):
-    out = []
-    for c in range(universe.full_mask + 1):
-        for b in iter_submasks(c):
-            for a in range(universe.full_mask + 1):
-                if val(a, b) > val(a, c):
-                    out.append(_wit(universe, a=a, b=b, c=c))
-                    if len(out) >= cap_n:
-                        return out
-    return out
-
-
-def _sweep_r4(val, universe, deltas, cap_n):
-    out = []
-    for a in range(universe.full_mask + 1):
-        for b in range(universe.full_mask + 1):
-            if val(a, b) == ZERO and a & b:
-                out.append(_wit(universe, a=a, b=b))
-                if len(out) >= cap_n:
-                    return out
-    return out
-
-
-def _sweep_ir4(val, universe, deltas, cap_n):
-    out = []
-    for a in range(1, universe.full_mask + 1):
-        for b in range(universe.full_mask + 1):
-            if a & b == 0 and val(a, b) != ZERO:
-                out.append(_wit(universe, a=a, b=b))
-                if len(out) >= cap_n:
-                    return out
-    return out
-
-
-def _sweep_r5(val, universe, deltas, cap_n):
-    out = []
-    for a in range(1, universe.full_mask + 1):
-        for b in range(universe.full_mask + 1):
-            if (val(a, b) == ZERO) != (a & b == 0):
-                out.append(_wit(universe, a=a, b=b))
-                if len(out) >= cap_n:
-                    return out
-    return out
-
-
-def _sweep_rb(val, universe, deltas, cap_n):
-    out = []
-    for a in range(1, universe.full_mask + 1):
-        if val(a, 0) != ZERO:
-            out.append(_wit(universe, a=a))
-            if len(out) >= cap_n:
-                return out
-    return out
-
-
-def _sweep_r6(val, universe, deltas, cap_n):
-    out = []
-    full = universe.full_mask
-    for b in range(full + 1):
-        rest = full & ~b
-        for s in iter_submasks(b):
-            c = rest | s
-            for a in range(1, full + 1):
-                if val(a, b) + val(a, c) != ONE:
-                    out.append(_wit(universe, a=a, b=b, c=c))
-                    if len(out) >= cap_n:
-                        return out
-    return out
-
-
-def _sweep_rv(val, universe, deltas, cap_n):
-    out = []
-    for delta in deltas:
-        for b in range(universe.full_mask + 1):
-            for a in iter_submasks(b):
-                for c in iter_submasks(a):
-                    if val(b, c) >= delta and val(a, c) < delta:
-                        out.append(_wit(universe, delta, a=a, b=b, c=c))
-                        if len(out) >= cap_n:
-                            return out
-    return out
-
-
-def _sweep_ri(val, universe, deltas, cap_n):
-    out = []
-    full = universe.full_mask
-    for delta in deltas:
-        for a in range(full + 1):
-            for b in range(full + 1):
-                meet = a & b
-                for c in iter_submasks(meet):
-                    if (val(a, c) >= delta and val(b, c) >= delta
-                            and val(meet, c) < delta):
-                        out.append(_wit(universe, delta, a=a, b=b, c=c))
-                        if len(out) >= cap_n:
-                            return out
-    return out
-
-
-def _sweep_ri_np(val, universe, deltas, cap_n):
-    out = []
-    full = universe.full_mask
-    for delta in deltas:
-        for a in range(full + 1):
-            for b in range(full + 1):
-                meet = a & b
-                for c in range(full + 1):
-                    if (val(a, c) >= delta and val(b, c) >= delta
-                            and val(meet, c) < delta):
-                        out.append(_wit(universe, delta, a=a, b=b, c=c))
-                        if len(out) >= cap_n:
-                            return out
-    return out
-
-
-_SWEEPERS = {
-    "U1": _sweep_u1,
-    "R0": _sweep_r0,
-    "IR0": _sweep_ir0,
-    "R1": _sweep_r1,
-    "R2": _sweep_r2,
-    "R3": _sweep_r3,
-    "R4": _sweep_r4,
-    "IR4": _sweep_ir4,
-    "R5": _sweep_r5,
-    "RB": _sweep_rb,
-    "R6": _sweep_r6,
-    "RV": _sweep_rv,
-    "RI": _sweep_ri,
-    "RI-np": _sweep_ri_np,
+# Each entry lazily yields every failing instance of its axiom as (masks in
+# _INSTANCE_VARS order, delta or None); swept axioms loop over delta
+# outermost. The domains skip only instances whose premise fails.
+_FAILURES = {
+    "U1": lambda val, masks, deltas: (
+        ((a,), None) for a in masks if val(a, a) != ONE),
+    "R0": lambda val, masks, deltas: (
+        ((a, b), None) for b in masks for a in iter_submasks(b)
+        if val(a, b) != ONE),
+    "IR0": lambda val, masks, deltas: (
+        ((a, b), None) for a in masks for b in masks
+        if val(a, b) == ONE and a & ~b),
+    "R1": lambda val, masks, deltas: (
+        ((a, b), None) for a in masks for b in masks
+        if (val(a, b) == ONE) != (a & ~b == 0)),
+    "R2": lambda val, masks, deltas: (
+        ((a, b, c), None) for b in masks for c in masks
+        if val(b, c) == ONE for a in masks if val(a, b) > val(a, c)),
+    "R3": lambda val, masks, deltas: (
+        ((a, b, c), None) for c in masks for b in iter_submasks(c)
+        for a in masks if val(a, b) > val(a, c)),
+    "R4": lambda val, masks, deltas: (
+        ((a, b), None) for a in masks for b in masks
+        if val(a, b) == ZERO and a & b),
+    "IR4": lambda val, masks, deltas: (
+        ((a, b), None) for a in masks[1:] for b in masks
+        if a & b == 0 and val(a, b) != ZERO),
+    "R5": lambda val, masks, deltas: (
+        ((a, b), None) for a in masks[1:] for b in masks
+        if (val(a, b) == ZERO) != (a & b == 0)),
+    "RB": lambda val, masks, deltas: (
+        ((a,), None) for a in masks[1:] if val(a, 0) != ZERO),
+    "R6": lambda val, masks, deltas: (
+        ((a, b, c), None) for b in masks for s in iter_submasks(b)
+        for c in [(masks[-1] ^ b) | s] for a in masks[1:]
+        if val(a, b) + val(a, c) != ONE),
+    "RV": lambda val, masks, deltas: (
+        ((a, b, c), d) for d in deltas for b in masks
+        for a in iter_submasks(b) for c in iter_submasks(a)
+        if val(b, c) >= d and val(a, c) < d),
+    "RI": lambda val, masks, deltas: (
+        ((a, b, c), d) for d in deltas for a in masks for b in masks
+        for m in [a & b] for c in iter_submasks(m)
+        if val(a, c) >= d and val(b, c) >= d and val(m, c) < d),
+    "RI-np": lambda val, masks, deltas: (
+        ((a, b, c), d) for d in deltas for a in masks for b in masks
+        for c in masks
+        if val(a, c) >= d and val(b, c) >= d and val(a & b, c) < d),
 }
 
 _INSTANCE_VARS = {
@@ -577,30 +429,32 @@ def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
             raise ValueError(f"axiom {axiom_id} takes no delta threshold")
         deltas = ()
 
-    witnesses: list[Witness] = []
-    for bmap, probe_delta in probe_bindings:
-        d = probe_delta
+    names = _INSTANCE_VARS[axiom_id]
+    probe_failures = []
+    for bmap, d in probe_bindings:
         if axiom_id in SWEPT_AXIOMS and d is None:
             raise ValueError("probe bindings for a swept axiom need a delta")
         if not evaluate_axiom_instance(kappa, axiom_id, bmap, delta=d):
-            parts = [binding(k, bmap[k]) for k in _INSTANCE_VARS[axiom_id]]
-            if d is not None:
-                parts.append(("delta", (str(Fraction(d)),)))
-            witnesses.append(tuple(parts))
+            probe_failures.append(([bmap[k] for k in names], d))
 
     params = [("kappa", kappa.describe())]
     if axiom_id in SWEPT_AXIOMS:
         params.append(("delta", str(deltas[0]) if delta is not None
                        else f"sweep[{len(deltas)}]"))
-    if witnesses:
+    if probe_failures:
         params.append(("sweep", "skipped: probe witnesses decide"))
-        return CheckReport(axiom_id, False, tuple(witnesses[:max_witnesses]),
-                           universe.size, tuple(params))
-
-    _check_cap(universe.size, cap, override, f"the {axiom_id} sweep")
-    val = functools.cache(functools.partial(kappa.on_masks, universe))
-    found = _SWEEPERS[axiom_id](val, universe, deltas, max_witnesses)
-    return CheckReport(axiom_id, not found, tuple(found),
+        failures = iter(probe_failures)
+    else:
+        _check_cap(universe.size, cap, override, f"the {axiom_id} sweep")
+        val = functools.cache(functools.partial(kappa.on_masks, universe))
+        failures = (
+            ([ESet(universe, m) for m in ms], d) for ms, d in
+            _FAILURES[axiom_id](val, range(universe.full_mask + 1), deltas))
+    witnesses = tuple(
+        tuple(binding(k, x) for k, x in zip(names, sets))
+        + ((("delta", (str(Fraction(d)),)),) if d is not None else ())
+        for sets, d in itertools.islice(failures, max_witnesses))
+    return CheckReport(axiom_id, not witnesses, witnesses,
                        universe.size, tuple(params))
 
 
