@@ -468,6 +468,7 @@ def classify_rif(kappa: InclusionFn, universe: Universe, *,
     class trades the monotony for its order form; the precision class asks
     for the chain-stability axiom at every swept threshold.
     """
+    @functools.cache
     def holds(axiom: str) -> bool:
         return check_axiom(kappa, axiom, universe, max_witnesses=1,
                            cap=cap, override=override).holds

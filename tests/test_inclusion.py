@@ -91,6 +91,22 @@ def test_k0_lands_in_every_class():
     assert classify_rif(kappa_k0(), u) == ("gRIF", "pRIF", "qRIF", "wqRIF")
 
 
+def test_classify_rif_decides_each_axiom_once(monkeypatch):
+    import roughpart.inclusion as inclusion
+
+    calls = []
+    real = inclusion.check_axiom
+
+    def recording(kappa, axiom_id, universe, **kw):
+        calls.append(axiom_id)
+        return real(kappa, axiom_id, universe, **kw)
+
+    monkeypatch.setattr(inclusion, "check_axiom", recording)
+    u = Universe(("e1", "e2", "e3"))
+    assert classify_rif(kappa_k0(), u) == ("gRIF", "pRIF", "qRIF", "wqRIF")
+    assert calls == ["R0", "IR0", "R2", "R3", "RV"]
+
+
 def test_union_and_complement_measures_are_graded():
     u = Universe(("e1", "e2", "e3", "e4"))
     for kappa in (kappa_k1(), kappa_k2()):
