@@ -315,7 +315,6 @@ def _first_bits(cases: Iterable[tuple[int, ...]]
 
 def analyze_properties(relation: ParthoodRelation, *,
                        equivalence: Equivalence | None = None,
-                       max_witnesses: int = 1,
                        cap: int = TRIPLE_CAP,
                        override: bool = False) -> PropertyProfile:
     """Check the framework conditions for a materialized relation.
@@ -324,7 +323,7 @@ def analyze_properties(relation: ParthoodRelation, *,
     properties range over all triples, so the universe is guarded by the
     triple cap. ``equivalence`` overrides the tag's default rough
     equality for the mutual-parts condition. A failing property reports
-    its first witness in sorted pair order, whatever ``max_witnesses``.
+    its first witness in sorted pair order.
     """
     universe = relation.universe
     _check_cap(universe.size, cap, override, "the property triple sweep")

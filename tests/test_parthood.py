@@ -421,7 +421,7 @@ def test_property_profile_matches_plain_sweeps(tuned, tag, flips):
         relations.append((_relation_for(
             u, lambda a, b: (a.mask, b.mask) in custom), custom))
     for relation, held in relations:
-        profile = analyze_properties(relation, max_witnesses=3)
+        profile = analyze_properties(relation)
         got = [(s.name, s.status, s.witness, s.condition)
                for s in profile.statuses]
         assert got == plain_profile(relation, held, 3), relation.tag
