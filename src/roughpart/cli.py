@@ -21,13 +21,16 @@ from typing import Sequence
 from .approx import OPERATOR_IDS, ApproxSpec, require_alpha, require_grade
 from .core import (
     CLOSURES,
+    EXHAUSTIVE_CAP,
     CapExceeded,
     ESet,
     Granulation,
     NEIGHBORHOOD_MODES,
     RelationSpec,
     Universe,
+    _check_cap,
     build_neighborhood_granulation,
+    image_table,
     neighborhood_map,
 )
 from .correspond import (
@@ -37,7 +40,12 @@ from .correspond import (
 )
 from .inclusion import VALID_AXIOMS, check_axiom, classify_rif
 from .parthood import PARTHOOD_TAGS, analyze_properties, build_parthood
-from .rational import rational_lower, rational_upper
+from .rational import (
+    _exhaustive_lower,
+    _nonempty_definites,
+    _upper_search,
+    rational_lower,
+)
 from .verify import (
     SUITE_IDS,
     _kappa_from_tag,
@@ -446,14 +454,21 @@ def cmd_rational(args: argparse.Namespace) -> int:
         raise SpecError(str(exc), "/substantial/tset") from exc
     approx = ApproxSpec(granulation, kappa, alpha, 0)
     lower = approx.operator("l_alpha")
-    upper = approx.operator("u_alpha")
     sets = _get_sets(spec, universe)
+    _check_cap(universe.size * 2, EXHAUSTIVE_CAP, False,
+               "the rational upper search")
+    lo = image_table(universe, lower)
+    up = image_table(universe, approx.operator("u_alpha"))
+    definites = _nonempty_definites(universe, lo)
     table_rows = []
     json_points = []
     for x in sets:
-        low = rational_lower(x, lower, substantial, mode=mode)
-        up = rational_upper(x, upper, lower, substantial)
-        for kind, res in (("lower", low), ("upper", up)):
+        if mode == "exhaustive":
+            low = _exhaustive_lower(x, lo, definites, substantial.holds)
+        else:
+            low = rational_lower(x, lower, substantial)
+        upper = _upper_search(x, up, definites, substantial.holds)
+        for kind, res in (("lower", low), ("upper", upper)):
             value = res.value.label() if res.value is not None else ""
             witnesses = "; ".join(f"{name}={e.label()}"
                                   for name, e in res.witnesses)

@@ -208,6 +208,70 @@ def test_rational_rows(tmp_path, capsys):
     assert "no operator image qualifies" in out
 
 
+RATIONAL_7 = {
+    "universe": [f"e{i}" for i in range(1, 8)],
+    "granules": [["e1", "e2"], ["e2", "e3", "e4"], ["e5"],
+                 ["e4", "e5", "e6"], ["e1", "e6", "e7"], ["e3", "e7"]],
+    "alpha": "1/5",
+    "substantial": {"tag": "s3", "k": 0},
+}
+
+
+@pytest.mark.parametrize("mode", ["substantial", "exhaustive"])
+def test_rational_reads_one_table_per_operator(tmp_path, capsys,
+                                               monkeypatch, mode):
+    from fractions import Fraction
+
+    import roughpart.approx as approx
+    from roughpart import (Granulation, Universe, build_parthood,
+                           kappa_k0, rational_lower, rational_upper)
+
+    spec = write_spec(tmp_path, {**RATIONAL_7, "mode": mode})
+    calls = {"lower": 0, "upper": 0}
+    real_lower, real_upper = approx.vprs_lower, approx.vprs_upper
+
+    def lower(*a):
+        calls["lower"] += 1
+        return real_lower(*a)
+
+    def upper(*a):
+        calls["upper"] += 1
+        return real_upper(*a)
+
+    monkeypatch.setattr(approx, "vprs_lower", lower)
+    monkeypatch.setattr(approx, "vprs_upper", upper)
+    code, out, _ = run(capsys, "rational", "--spec", spec,
+                       "--format", "json")
+    assert code == 0
+    assert calls["lower"] <= 2 * 2 ** 7 and calls["upper"] <= 2 * 2 ** 7
+    monkeypatch.undo()
+
+    # The per-set public route gives the same points.
+    u = Universe(tuple(RATIONAL_7["universe"]))
+    g = Granulation.of(u, [tuple(m) for m in RATIONAL_7["granules"]])
+    alpha = Fraction(1, 5)
+    sub = build_parthood("s3", u, g, kappa=kappa_k0(), alpha=alpha, k=0)
+
+    def lo(x):
+        return real_lower(x, g, kappa_k0(), alpha)
+
+    def up(x):
+        return real_upper(x, g, kappa_k0(), alpha)
+
+    expected = []
+    for x in u.subsets():
+        for kind, res in (("lower", rational_lower(x, lo, sub, mode=mode)),
+                          ("upper", rational_upper(x, up, lo, sub))):
+            expected.append({
+                "set": x.label(), "kind": kind, "defined": res.defined,
+                "trivial": res.trivial,
+                "value": "" if res.value is None else res.value.label(),
+                "witnesses": "; ".join(f"{n}={e.label()}"
+                                       for n, e in res.witnesses),
+                "note": "; ".join(res.notes)})
+    assert json.loads(out) == {"points": expected}
+
+
 def test_rational_requires_substantial(tmp_path, capsys):
     spec = write_spec(tmp_path, {**STANDARD, "sets": [["x1"]]})
     code, _, err = run(capsys, "rational", "--spec", spec)
