@@ -467,8 +467,8 @@ def cmd_rational(args: argparse.Namespace) -> int:
             low = _exhaustive_lower(x, lo, definites, substantial.holds)
         else:
             low = rational_lower(x, lower, substantial)
-        upper = _upper_search(x, up, definites, substantial.holds)
-        for kind, res in (("lower", low), ("upper", upper)):
+        high = _upper_search(x, up, definites, substantial.holds)
+        for kind, res in (("lower", low), ("upper", high)):
             value = res.value.label() if res.value is not None else ""
             witnesses = "; ".join(f"{name}={e.label()}"
                                   for name, e in res.witnesses)

@@ -443,7 +443,7 @@ def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
                        else f"sweep[{len(deltas)}]"))
     if probe_failures:
         params.append(("sweep", "skipped: probe witnesses decide"))
-        failures = iter(probe_failures)
+        failures = probe_failures
     else:
         _check_cap(universe.size, cap, override, f"the {axiom_id} sweep")
         val = functools.cache(functools.partial(kappa.on_masks, universe))

@@ -1,9 +1,19 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 
+import roughpart.approx as approx
+from roughpart import (
+    Granulation,
+    Universe,
+    build_parthood,
+    kappa_k0,
+    rational_lower,
+    rational_upper,
+)
 from roughpart.cli import main
 
 STANDARD = {
@@ -220,12 +230,6 @@ RATIONAL_7 = {
 @pytest.mark.parametrize("mode", ["substantial", "exhaustive"])
 def test_rational_reads_one_table_per_operator(tmp_path, capsys,
                                                monkeypatch, mode):
-    from fractions import Fraction
-
-    import roughpart.approx as approx
-    from roughpart import (Granulation, Universe, build_parthood,
-                           kappa_k0, rational_lower, rational_upper)
-
     spec = write_spec(tmp_path, {**RATIONAL_7, "mode": mode})
     calls = {"lower": 0, "upper": 0}
     real_lower, real_upper = approx.vprs_lower, approx.vprs_upper
@@ -270,6 +274,15 @@ def test_rational_reads_one_table_per_operator(tmp_path, capsys,
                                        for n, e in res.witnesses),
                 "note": "; ".join(res.notes)})
     assert json.loads(out) == {"points": expected}
+
+    # The tables stay capped at 2n <= 24.
+    big = write_spec(tmp_path, {
+        "universe": [f"e{i}" for i in range(13)],
+        "granules": [[f"e{i}" for i in range(13)]],
+        "substantial": {"tag": "s3"}, "sets": [["e1"]], "mode": mode},
+        "big.json")
+    code, _, err = run(capsys, "rational", "--spec", big)
+    assert code == 2 and "exceeds the cap of 24" in err
 
 
 def test_rational_requires_substantial(tmp_path, capsys):

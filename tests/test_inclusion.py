@@ -31,6 +31,7 @@ from roughpart import (
     kappa_k2,
     kappa_st,
 )
+import roughpart.inclusion as inclusion
 from roughpart.inclusion import SWEPT_AXIOMS
 from conftest import subsets_by_label
 
@@ -92,8 +93,6 @@ def test_k0_lands_in_every_class():
 
 
 def test_classify_rif_decides_each_axiom_once(monkeypatch):
-    import roughpart.inclusion as inclusion
-
     calls = []
     real = inclusion.check_axiom
 
