@@ -180,6 +180,23 @@ def _get_granulation(spec: dict, universe: Universe
     return granulation, neighborhood_map(universe, relation, mode)
 
 
+def _get_tset(source: dict, universe: Universe, granulation: Granulation,
+              pointer: str) -> tuple[ESet, ...] | None:
+    """The designated granules under ``tset``, or None when it is absent."""
+    if "tset" not in source:
+        return None
+    if not isinstance(source["tset"], list):
+        _fail("expected a list of member lists", pointer)
+    out = []
+    for i, value in enumerate(source["tset"]):
+        h = _member_set(universe, value, f"{pointer}/{i}")
+        if h not in granulation:
+            _fail(f"designated granule {h.label()} is not in the "
+                  "granulation", f"{pointer}/{i}")
+        out.append(h)
+    return tuple(out)
+
+
 def _get_kappa(spec: dict):
     tag = spec.get("kappa", "K0")
     if not isinstance(tag, str):
@@ -359,12 +376,7 @@ def cmd_parthood(args: argparse.Namespace) -> int:
     kappa = _get_kappa(spec)
     alpha = _get_alpha(spec)
     k = _get_grade(spec)
-    tset = None
-    if "tset" in spec:
-        if not isinstance(spec["tset"], list):
-            _fail("expected a list of member lists", "/tset")
-        tset = tuple(_member_set(universe, g, f"/tset/{i}")
-                     for i, g in enumerate(spec["tset"]))
+    tset = _get_tset(spec, universe, granulation, "/tset")
     if "tags" in spec:
         tags = _str_list(spec["tags"], "/tags")
         for i, tag in enumerate(tags):
@@ -381,12 +393,8 @@ def cmd_parthood(args: argparse.Namespace) -> int:
     table_rows = []
     json_relations = []
     for tag in tags:
-        try:
-            relation = build_parthood(tag, universe, granulation,
-                                      kappa=kappa, alpha=alpha, k=k,
-                                      tset=tset)
-        except ValueError as exc:
-            raise SpecError(str(exc), "/tset") from exc
+        relation = build_parthood(tag, universe, granulation, kappa=kappa,
+                                  alpha=alpha, k=k, tset=tset)
         entry: dict = {"tag": tag, "pairs": relation.size}
         if want_properties:
             profile = analyze_properties(relation)
@@ -437,21 +445,11 @@ def cmd_rational(args: argparse.Namespace) -> int:
         _fail(f"tag must be one of {', '.join(PARTHOOD_TAGS)}",
               "/substantial/tag")
     sub_k = _get_grade(sub, "/substantial")
-    sub_tset = None
-    if "tset" in sub:
-        if not isinstance(sub["tset"], list):
-            _fail("expected a list of member lists", "/substantial/tset")
-        sub_tset = tuple(
-            _member_set(universe, g, f"/substantial/tset/{i}")
-            for i, g in enumerate(sub["tset"]))
+    sub_tset = _get_tset(sub, universe, granulation, "/substantial/tset")
     if tag == "st" and sub_tset is None:
         _fail("field is required when the tag is 'st'", "/substantial/tset")
-    try:
-        substantial = build_parthood(tag, universe, granulation,
-                                     kappa=kappa, alpha=alpha, k=sub_k,
-                                     tset=sub_tset)
-    except ValueError as exc:
-        raise SpecError(str(exc), "/substantial/tset") from exc
+    substantial = build_parthood(tag, universe, granulation, kappa=kappa,
+                                 alpha=alpha, k=sub_k, tset=sub_tset)
     approx = ApproxSpec(granulation, kappa, alpha, 0)
     lower = approx.operator("l_alpha")
     sets = _get_sets(spec, universe)

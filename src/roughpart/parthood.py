@@ -44,8 +44,6 @@ PROPERTY_NAMES = ("reflexive", "part-compatible", "mutual-rough-equal",
                   "join-compatible", "l-euclidean", "r-euclidean",
                   "antisymmetric", "join-stable", "transitive", "symmetric")
 
-Equivalence = Callable[[ESet, ESet], bool]
-
 # The image each image-comparing tag compares by inclusion: a
 # precision-tuned table from the VPRS kernel, or for s9 the profile of
 # granules the set reaches the precision on.
@@ -122,12 +120,18 @@ def _image(tag: str, ctx: BuildContext) -> Sequence[int]:
     return getattr(vprs_tables(g, kap, alpha), _IMAGE_OF[tag])
 
 
-def _preorder_rows(img: Sequence[int]) -> list[int]:
-    """Rows of the preorder ``img[a] <= img[b]``, one OR of image classes
-    per distinct image."""
+def _image_classes(img: Sequence[int]) -> dict[int, int]:
+    """The bitset of masks sharing each distinct image."""
     members: dict[int, int] = {}
     for m, value in enumerate(img):
         members[value] = members.get(value, 0) | 1 << m
+    return members
+
+
+def _preorder_rows(img: Sequence[int]) -> list[int]:
+    """Rows of the preorder ``img[a] <= img[b]``, one OR of image classes
+    per distinct image."""
+    members = _image_classes(img)
     above = {low: sum(bits for value, bits in members.items()
                       if low & ~value == 0)
              for low in members}
@@ -277,23 +281,21 @@ class PropertyProfile:
         raise KeyError(name)
 
 
-def _default_equivalence(relation: ParthoodRelation) -> Equivalence:
-    """Rough equality appropriate to the relation's tag.
+def _rough_equal_rows(relation: ParthoodRelation) -> list[int]:
+    """Rough equality appropriate to the relation's tag, as bitset rows.
 
     Mutual parts are only ever claimed equal up to what the predicate can
     see: approximation images or threshold profiles for the
-    image-comparing tags, and literal equality otherwise.
+    image-comparing tags, and literal equality otherwise. The s0l and s0u
+    measure floor needs no second test: a built relation holds a mutual
+    pair only once both directions have passed it.
     """
     ctx = relation.context
-    tag = relation.tag
-    if ctx is None or tag not in _IMAGE_OF:
-        return lambda a, b: a.mask == b.mask
-    img = _image(tag, ctx)
-    if tag in _FLOOR_OF:
-        kap, floor = ctx.kappa, _FLOOR_OF[tag](ctx.alpha)
-        return lambda a, b: (img[a.mask] == img[b.mask]
-                             and kap(a, b) >= floor and kap(b, a) >= floor)
-    return lambda a, b: img[a.mask] == img[b.mask]
+    if ctx is None or relation.tag not in _IMAGE_OF:
+        return [1 << m for m in range(len(relation.rows))]
+    img = _image(relation.tag, ctx)
+    members = _image_classes(img)
+    return [members[value] for value in img]
 
 
 _ABOVE_GRADE = ("cardinality above the grade",
@@ -314,21 +316,18 @@ def _first_bits(cases: Iterable[tuple[int, ...]]
 
 
 def analyze_properties(relation: ParthoodRelation, *,
-                       equivalence: Equivalence | None = None,
                        cap: int = TRIPLE_CAP,
                        override: bool = False) -> PropertyProfile:
     """Check the framework conditions for a materialized relation.
 
     Pair properties are row and column expressions, and triple
     properties range over all triples, so the universe is guarded by the
-    triple cap. ``equivalence`` overrides the tag's default rough
-    equality for the mutual-parts condition. A failing property reports
-    its first witness in sorted pair order.
+    triple cap. A failing property reports its first witness in sorted
+    pair order.
     """
     universe = relation.universe
     _check_cap(universe.size, cap, override, "the property triple sweep")
-    eq = equivalence if equivalence is not None \
-        else _default_equivalence(relation)
+    eq = _rough_equal_rows(relation)
     masks = range(universe.full_mask + 1)
     rows = relation.rows
     cols = [sum(1 << am for am in masks if rows[am] >> bm & 1)
@@ -348,10 +347,9 @@ def analyze_properties(relation: ParthoodRelation, *,
         "reflexive": (w(a=m) for m in masks if not rows[m] >> m & 1),
         "part-compatible": (w(a=a, b=b) for a, b in _first_bits(
             (m, rows[m] & ~up[m]) for m in masks)),
-        "mutual-rough-equal": (
-            w(a=am, b=bm) for am in masks
-            for bm in iter_bits(rows[am] & cols[am] & ~((2 << am) - 1))
-            if not eq(ev(am), ev(bm))),
+        "mutual-rough-equal": (w(a=a, b=b) for a, b in _first_bits(
+            (m, rows[m] & cols[m] & ~eq[m] & ~((2 << m) - 1))
+            for m in masks)),
         # A failing join is symmetric in its two sets, so the first
         # witness of either join rule has b after its partner e or a.
         "join-compatible": (

@@ -12,8 +12,9 @@ failure.
 
 The standard battery is the four-element worked fixture plus seeded random
 granulations of sizes three to six. All sweeps are exhaustive over their
-battery, arithmetic is exact, and the output is byte-deterministic: tasks
-run sequentially and their results are merged in a fixed order.
+battery, arithmetic is exact, and the output is byte-deterministic: checks
+run sequentially in report order, which the expected-outcomes manifest and
+the golden report file pin.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     Binding,
@@ -276,24 +277,16 @@ class SuiteResult:
     parameters: tuple[tuple[str, str], ...] = ()
 
 
+@dataclass(frozen=True)
 class _Eval:
-    """One task's contribution to a clause."""
+    """One check's contribution to a clause."""
 
-    __slots__ = ("clause", "checked", "ces", "gates", "note", "ok")
-
-    def __init__(self, clause: str, checked: int,
-                 ces: list[Counterexample] | None = None,
-                 gates: tuple[tuple[str, str], ...] = (),
-                 note: str = "", ok: bool | None = None) -> None:
-        self.clause = clause
-        self.checked = checked
-        self.ces = ces if ces is not None else []
-        self.gates = gates
-        self.note = note
-        self.ok = ok
-
-
-Task = tuple[str, Callable[[], list[_Eval]]]
+    clause: str
+    checked: int
+    ces: Sequence[Counterexample] = ()
+    gates: tuple[tuple[str, str], ...] = ()
+    note: str = ""
+    ok: bool | None = None
 
 
 def _universe_of(size: int) -> Universe:
@@ -378,214 +371,194 @@ def _cap_closure(lo: Sequence[int], full: int) -> _Sweep:
     return checked, fails
 
 
-def _vprs_task(suite_id: str, fixture: Fixture, ktag: str,
-               kap: InclusionFn, alpha: Fraction) -> Task:
-    key = f"{fixture.name}/{ktag}/{alpha}"
+def _vprs_check(suite_id: str, fixture: Fixture, ktag: str,
+                kap: InclusionFn, alpha: Fraction) -> list[_Eval]:
+    universe = fixture.universe
+    full = universe.full_mask
+    tables = vprs_tables(fixture.granulation, kap, alpha)
+    lo, up = tables.lower, tables.upper
+    slo, sup = tables.star_lower, tables.star_upper
 
-    def run() -> list[_Eval]:
-        universe = fixture.universe
-        full = universe.full_mask
-        tables = vprs_tables(fixture.granulation, kap, alpha)
-        lo, up = tables.lower, tables.upper
-        slo, sup = tables.star_lower, tables.star_upper
+    def each(bad: Callable[[int], int]) -> _Sweep:
+        return full + 1, [{"a": x} for x in range(full + 1)
+                          if bad(x)][:5]
 
-        def each(bad: Callable[[int], int]) -> _Sweep:
-            return full + 1, [{"a": x} for x in range(full + 1)
-                              if bad(x)][:5]
+    if suite_id == "vprs-alpha":
+        sweeps = {
+            "li": each(lambda x: lo[x] & ~x),
+            "luA": each(lambda x: lo[x] & ~up[x]),
+            "lA-idem": each(lambda x: lo[lo[x]] != lo[x]),
+            "lA-cmo": _lower_cmo(lo, full),
+            "uA-cmo": _upper_cmo(up, full),
+            "lA-capc": _cap_closure(lo, full),
+        }
+    elif suite_id == "vprs-star":
+        sweeps = {
+            "lA-cmo*": _lower_cmo(slo, full),
+            "uA-cmo*": _upper_cmo(sup, full),
+            "luA*": each(lambda x: slo[x] & ~sup[x]),
+            "luAA": each(lambda x: lo[x] & ~slo[x] or up[x] & ~sup[x]),
+        }
+    else:
+        sweeps = {"lARI-cap": _cap_closure(lo, full)}
 
-        if suite_id == "vprs-alpha":
-            sweeps = {
-                "li": each(lambda x: lo[x] & ~x),
-                "luA": each(lambda x: lo[x] & ~up[x]),
-                "lA-idem": each(lambda x: lo[lo[x]] != lo[x]),
-                "lA-cmo": _lower_cmo(lo, full),
-                "uA-cmo": _upper_cmo(up, full),
-                "lA-capc": _cap_closure(lo, full),
-            }
-        elif suite_id == "vprs-star":
-            sweeps = {
-                "lA-cmo*": _lower_cmo(slo, full),
-                "uA-cmo*": _upper_cmo(sup, full),
-                "luA*": each(lambda x: slo[x] & ~sup[x]),
-                "luAA": each(lambda x: lo[x] & ~slo[x] or up[x] & ~sup[x]),
-            }
-        else:
-            sweeps = {"lARI-cap": _cap_closure(lo, full)}
-
-        if suite_id == "ri-cap":
-            delta = 1 - alpha
-            gate = ((f"RI[{ktag},n={universe.size},delta={delta}]",
-                     "holds" if _ri_gate(ktag, universe.size, delta)
-                     else "fails"),)
-        else:
-            gate = ((f"class[{ktag},n={universe.size}]",
-                     ",".join(_class_tags(ktag, universe.size)) or "none"),)
-        return [_Eval(clause, checked,
-                      [Counterexample(fixture.name, kap.describe(),
-                                      str(alpha), _wit(universe, **masks))
-                       for masks in fails], gate)
-                for clause, (checked, fails) in sweeps.items()]
-
-    return key, run
+    if suite_id == "ri-cap":
+        delta = 1 - alpha
+        gate = ((f"RI[{ktag},n={universe.size},delta={delta}]",
+                 "holds" if _ri_gate(ktag, universe.size, delta)
+                 else "fails"),)
+    else:
+        gate = ((f"class[{ktag},n={universe.size}]",
+                 ",".join(_class_tags(ktag, universe.size)) or "none"),)
+    return [_Eval(clause, checked,
+                  [Counterexample(fixture.name, kap.describe(),
+                                  str(alpha), _wit(universe, **masks))
+                   for masks in fails], gate)
+            for clause, (checked, fails) in sweeps.items()]
 
 
-def _grif_task(fixture: Fixture) -> Task:
-    key = fixture.name
+def _grif_check(fixture: Fixture) -> list[_Eval]:
+    universe = fixture.universe
+    g = fixture.granulation
+    full = universe.full_mask
+    lo_op = lambda s: classical_lower(s, g)
+    up_op = lambda s: classical_upper(s, g)
+    cl = image_table(universe, lo_op)
+    cu = image_table(universe, up_op)
+    img = {"l": cl, "u": cu}
+    clauses = ("ulu2", "llu2", "mo", "refl", "bot", "top",
+               "route-agreement")
+    ces: dict[str, list[Counterexample]] = {c: [] for c in clauses}
+    checked = dict.fromkeys(clauses, 0)
 
-    def run() -> list[_Eval]:
-        universe = fixture.universe
-        g = fixture.granulation
-        full = universe.full_mask
-        lo_op = lambda s: classical_lower(s, g)
-        up_op = lambda s: classical_upper(s, g)
-        cl = image_table(universe, lo_op)
-        cu = image_table(universe, up_op)
-        img = {"l": cl, "u": cu}
-        clauses = ("ulu2", "llu2", "mo", "refl", "bot", "top",
-                   "route-agreement")
-        ces: dict[str, list[Counterexample]] = {c: [] for c in clauses}
-        checked = dict.fromkeys(clauses, 0)
+    def ce(clause: str, extra: tuple[Binding, ...] = (),
+           **masks: int) -> None:
+        if len(ces[clause]) < 5:
+            ces[clause].append(Counterexample(
+                fixture.name, "nu", "", _wit(universe, **masks) + extra))
 
-        def ce(clause: str, extra: tuple[Binding, ...] = (),
-               **masks: int) -> None:
-            if len(ces[clause]) < 5:
-                ces[clause].append(Counterexample(
-                    fixture.name, "nu", "", _wit(universe, **masks) + extra))
-
-        # Shared-denominator comparisons reduce to numerator counts.
-        for a in range(full + 1):
-            for b in range(full + 1):
-                checked["ulu2"] += 1
-                if (cu[a] & cl[b]).bit_count() > (cu[a] & cu[b]).bit_count():
-                    ce("ulu2", a=a, b=b)
-                checked["llu2"] += 1
-                if (cl[a] & cl[b]).bit_count() > (cl[a] & cu[b]).bit_count():
-                    ce("llu2", a=a, b=b)
-        # Monotony in the second argument follows from image monotony
-        # because the denominator only sees the first argument.
-        for side in ("l", "u"):
-            arr = img[side]
-            for e in range(full + 1):
-                for b in iter_submasks(e):
-                    checked["mo"] += 1
-                    if arr[b] & ~arr[e]:
-                        ce("mo", b=b, e=e,
-                           extra=(("side", (side,)),))
-        # The light clauses go through the public evaluation route.
-        empty = universe.empty
-        top_set = universe.full
-        top_definite = cl[full] == full and cu[full] == full
-        for m in range(full + 1):
-            x = ESet(universe, m)
-            checked["refl"] += 1
-            if (eval_bgrif(x, x, "l", "l", lo_op, up_op) != 1
-                    or eval_bgrif(x, x, "u", "u", lo_op, up_op) != 1
-                    or eval_bgrif(x, x, "l", "u", lo_op, up_op) > 1):
-                ce("refl", a=m)
+    # Shared-denominator comparisons reduce to numerator counts.
+    for a in range(full + 1):
+        for b in range(full + 1):
+            checked["ulu2"] += 1
+            if (cu[a] & cl[b]).bit_count() > (cu[a] & cu[b]).bit_count():
+                ce("ulu2", a=a, b=b)
+            checked["llu2"] += 1
+            if (cl[a] & cl[b]).bit_count() > (cl[a] & cu[b]).bit_count():
+                ce("llu2", a=a, b=b)
+    # Monotony in the second argument follows from image monotony
+    # because the denominator only sees the first argument.
+    for side in ("l", "u"):
+        arr = img[side]
+        for e in range(full + 1):
+            for b in iter_submasks(e):
+                checked["mo"] += 1
+                if arr[b] & ~arr[e]:
+                    ce("mo", b=b, e=e,
+                       extra=(("side", (side,)),))
+    # The light clauses go through the public evaluation route.
+    empty = universe.empty
+    top_set = universe.full
+    top_definite = cl[full] == full and cu[full] == full
+    for m in range(full + 1):
+        x = ESet(universe, m)
+        checked["refl"] += 1
+        if (eval_bgrif(x, x, "l", "l", lo_op, up_op) != 1
+                or eval_bgrif(x, x, "u", "u", lo_op, up_op) != 1
+                or eval_bgrif(x, x, "l", "u", lo_op, up_op) > 1):
+            ce("refl", a=m)
+        for sigma in ("l", "u"):
+            for pi in ("l", "u"):
+                checked["bot"] += 1
+                if eval_bgrif(empty, x, sigma, pi, lo_op, up_op) != 1:
+                    ce("bot", b=m, extra=(("form", (sigma + pi,)),))
+                if top_definite:
+                    checked["top"] += 1
+                    if eval_bgrif(x, top_set, sigma, pi,
+                                  lo_op, up_op) != 1:
+                        ce("top", a=m, extra=(("form", (sigma + pi,)),))
+    # Cross-check the mask arrays against the public route on a
+    # deterministic sample of pairs.
+    sample = range(min(full + 1, 16))
+    for a in sample:
+        for b in sample:
             for sigma in ("l", "u"):
                 for pi in ("l", "u"):
-                    checked["bot"] += 1
-                    if eval_bgrif(empty, x, sigma, pi, lo_op, up_op) != 1:
-                        ce("bot", b=m, extra=(("form", (sigma + pi,)),))
-                    if top_definite:
-                        checked["top"] += 1
-                        if eval_bgrif(x, top_set, sigma, pi,
-                                      lo_op, up_op) != 1:
-                            ce("top", a=m, extra=(("form", (sigma + pi,)),))
-        # Cross-check the mask arrays against the public route on a
-        # deterministic sample of pairs.
-        sample = range(min(full + 1, 16))
-        for a in sample:
-            for b in sample:
-                for sigma in ("l", "u"):
-                    for pi in ("l", "u"):
-                        checked["route-agreement"] += 1
-                        direct = eval_bgrif(ESet(universe, a),
-                                            ESet(universe, b),
-                                            sigma, pi, lo_op, up_op)
-                        fa = img[sigma][a]
-                        fb = img[pi][b]
-                        via = Fraction(1) if fa == 0 else \
-                            Fraction((fa & fb).bit_count(), fa.bit_count())
-                        if direct != via:
-                            ce("route-agreement", a=a, b=b,
-                               extra=(("form", (sigma + pi,)),))
-        gate = (("top-definite", "yes" if top_definite else
-                 "no: top clause skipped"),)
-        return [_Eval(c, checked[c], ces[c], gate if c == "top" else ())
-                for c in clauses]
-
-    return key, run
+                    checked["route-agreement"] += 1
+                    direct = eval_bgrif(ESet(universe, a),
+                                        ESet(universe, b),
+                                        sigma, pi, lo_op, up_op)
+                    fa = img[sigma][a]
+                    fb = img[pi][b]
+                    via = Fraction(1) if fa == 0 else \
+                        Fraction((fa & fb).bit_count(), fa.bit_count())
+                    if direct != via:
+                        ce("route-agreement", a=a, b=b,
+                           extra=(("form", (sigma + pi,)),))
+    gate = (("top-definite", "yes" if top_definite else
+             "no: top clause skipped"),)
+    return [_Eval(c, checked[c], ces[c], gate if c == "top" else ())
+            for c in clauses]
 
 
-def _rif_axioms_task() -> Task:
-    def run() -> list[_Eval]:
-        k0 = kappa_k0()
-        evals: list[_Eval] = []
-        for name, axiom in (("k0-rv-sweep", "RV"), ("k0-ri-sweep", "RI")):
-            ces: list[Counterexample] = []
-            checked = 0
-            for n in range(1, 7):
-                rep = check_axiom(k0, axiom, _universe_of(n))
-                checked += 1
-                if not rep.holds:
-                    for w in rep.witnesses:
-                        ces.append(Counterexample(f"u{n}", "K0", "", w))
-            evals.append(_Eval(name, checked, ces))
+def _rif_axioms_check() -> list[_Eval]:
+    k0 = kappa_k0()
+    evals: list[_Eval] = []
+    for name, axiom in (("k0-rv-sweep", "RV"), ("k0-ri-sweep", "RI")):
+        ces: list[Counterexample] = []
+        checked = 0
+        for n in range(1, 7):
+            rep = check_axiom(k0, axiom, _universe_of(n))
+            checked += 1
+            if not rep.holds:
+                for w in rep.witnesses:
+                    ces.append(Counterexample(f"u{n}", "K0", "", w))
+        evals.append(_Eval(name, checked, ces))
 
-        u = Universe.of(("1", "2", "3", "5", "6", "7", "8", "9"))
-        probe = ({"a": u.subset(("1", "2", "3", "6")),
-                  "b": u.subset(("3", "5", "7", "8", "9")),
-                  "c": u.subset(("2", "5", "6"))}, Fraction(1, 5))
-        rep = check_axiom(k0, "RI-np", u, probe_bindings=(probe,),
-                          max_witnesses=1)
-        reproduced = not rep.holds and len(rep.witnesses) == 1
-        evals.append(_Eval(
-            "ri-np-counterexample", 1, [], (),
-            "reproduced at threshold 1/5" if reproduced
-            else "did not reproduce", reproduced))
+    u = Universe.of(("1", "2", "3", "5", "6", "7", "8", "9"))
+    probe = ({"a": u.subset(("1", "2", "3", "6")),
+              "b": u.subset(("3", "5", "7", "8", "9")),
+              "c": u.subset(("2", "5", "6"))}, Fraction(1, 5))
+    rep = check_axiom(k0, "RI-np", u, probe_bindings=(probe,),
+                      max_witnesses=1)
+    reproduced = not rep.holds and len(rep.witnesses) == 1
+    evals.append(_Eval(
+        "ri-np-counterexample", 1, [], (),
+        "reproduced at threshold 1/5" if reproduced
+        else "did not reproduce", reproduced))
 
-        tags_unit = _class_tags("Kst(1/5,1)", 5)
-        evals.append(_Eval("kst-unit-top-qrif", 1, [], (),
-                           "classes: " + ",".join(tags_unit),
-                           "qRIF" in tags_unit))
-        tags_mid = _class_tags("Kst(1/5,4/5)", 5)
-        ok_mid = ("wqRIF" in tags_mid and "pRIF" in tags_mid
-                  and "qRIF" not in tags_mid)
-        evals.append(_Eval("kst-mid-wqrif", 1, [], (),
-                           "classes: " + ",".join(tags_mid), ok_mid))
-        ok_k0 = all(_class_tags("K0", n) == ("gRIF", "pRIF", "qRIF", "wqRIF")
-                    for n in (4, 5))
-        evals.append(_Eval("k0-classes", 2, [], (),
-                           "all four classes on sizes 4 and 5" if ok_k0
-                           else "unexpected class set", ok_k0))
-        return evals
-
-    return "rif-axioms", run
+    tags_unit = _class_tags("Kst(1/5,1)", 5)
+    evals.append(_Eval("kst-unit-top-qrif", 1, [], (),
+                       "classes: " + ",".join(tags_unit),
+                       "qRIF" in tags_unit))
+    tags_mid = _class_tags("Kst(1/5,4/5)", 5)
+    ok_mid = ("wqRIF" in tags_mid and "pRIF" in tags_mid
+              and "qRIF" not in tags_mid)
+    evals.append(_Eval("kst-mid-wqrif", 1, [], (),
+                       "classes: " + ",".join(tags_mid), ok_mid))
+    ok_k0 = all(_class_tags("K0", n) == ("gRIF", "pRIF", "qRIF", "wqRIF")
+                for n in (4, 5))
+    evals.append(_Eval("k0-classes", 2, [], (),
+                       "all four classes on sizes 4 and 5" if ok_k0
+                       else "unexpected class set", ok_k0))
+    return evals
 
 
 _PRIF_KAPPA_TAGS = ("K0", "K1", "K2", "Kst(1/5,4/5)")
-_PRIF_CLAUSES = ("prif1", "prif2", "prif3", "prif4", "prif5", "prif6",
-                 "prif7", "prif8", "prif9", "u1-of-r1", "u1-of-r0")
 
 
-def _prif_task(ktag: str, size: int) -> Task:
-    key = f"{ktag}/u{size}"
-
-    def run() -> list[_Eval]:
-        kap = _kappa_from_tag(ktag)
-        reports = check_prif_implications(kap, _universe_of(size))
-        evals = []
-        for rep in reports:
-            ces = []
-            if not rep.holds:
-                verdicts = tuple(f"{k}={v}" for k, v in rep.parameters)
-                ces.append(Counterexample(f"u{size}", ktag, "",
-                                          (("verdicts", verdicts),)))
-            evals.append(_Eval(rep.name, 1, ces))
-        return evals
-
-    return key, run
+def _prif_check(ktag: str, size: int) -> list[_Eval]:
+    kap = _kappa_from_tag(ktag)
+    reports = check_prif_implications(kap, _universe_of(size))
+    evals = []
+    for rep in reports:
+        ces = []
+        if not rep.holds:
+            verdicts = tuple(f"{k}={v}" for k, v in rep.parameters)
+            ces.append(Counterexample(f"u{size}", ktag, "",
+                                      (("verdicts", verdicts),)))
+        evals.append(_Eval(rep.name, 1, ces))
+    return evals
 
 
 def _row_diff(first: Sequence[int], second: Sequence[int]
@@ -597,78 +570,79 @@ def _row_diff(first: Sequence[int], second: Sequence[int]
     return list(itertools.islice(diff, 5))
 
 
-def _parthood_equality_task(fixture: Fixture, ktag: str, kap: InclusionFn,
-                            alpha: Fraction) -> Task:
-    key = f"{fixture.name}/{ktag}/{alpha}"
-
-    def run() -> list[_Eval]:
-        universe = fixture.universe
-        g = fixture.granulation
-        ces_57: list[Counterexample] = []
-        ces_pu: list[Counterexample] = []
-        r5 = build_parthood("s5", universe, g, kappa=kap, alpha=alpha)
-        r7 = build_parthood("s7", universe, g, kappa=kap, alpha=alpha)
-        for am, bm in _row_diff(r5.rows, r7.rows):
-            where = "first-route-only" if r5.rows[am] >> bm & 1 \
-                else "second-route-only"
-            ces_57.append(Counterexample(
-                fixture.name, kap.describe(), str(alpha),
-                _wit(universe, a=am, b=bm) + (("route", (where,)),)))
-        checked = (universe.full_mask + 1) ** 2
-
-        r0u = build_parthood("s0u", universe, g, kappa=kap, alpha=alpha)
-        rpu = build_parthood("pu", universe, g, kappa=kap, alpha=alpha)
-        derived = [sum(1 << bm for bm in iter_bits(row)
-                       if kap.on_masks(universe, am, bm) >= alpha)
-                   for am, row in enumerate(rpu.rows)]
-        for am, bm in _row_diff(r0u.rows, derived):
-            ces_pu.append(Counterexample(
-                fixture.name, kap.describe(), str(alpha),
-                _wit(universe, a=am, b=bm)))
-        return [_Eval("s5-equals-s7", checked, ces_57),
-                _Eval("s0u-from-pu", checked, ces_pu)]
-
-    return key, run
+def _s5_s7_check(fixture: Fixture, kap: InclusionFn,
+                 alpha: Fraction) -> list[_Eval]:
+    universe = fixture.universe
+    g = fixture.granulation
+    r5 = build_parthood("s5", universe, g, kappa=kap, alpha=alpha)
+    r7 = build_parthood("s7", universe, g, kappa=kap, alpha=alpha)
+    ces: list[Counterexample] = []
+    for am, bm in _row_diff(r5.rows, r7.rows):
+        where = "first-route-only" if r5.rows[am] >> bm & 1 \
+            else "second-route-only"
+        ces.append(Counterexample(
+            fixture.name, kap.describe(), str(alpha),
+            _wit(universe, a=am, b=bm) + (("route", (where,)),)))
+    return [_Eval("s5-equals-s7", (universe.full_mask + 1) ** 2, ces)]
 
 
-def _parthood_grade_task(fixture: Fixture, k: int) -> Task:
-    key = f"{fixture.name}/k{k}"
-
-    def run() -> list[_Eval]:
-        universe = fixture.universe
-        g = fixture.granulation
-        r3 = build_parthood("s3", universe, g, k=k)
-        r6 = build_parthood("s6", universe, g, k=k)
-        ces: list[Counterexample] = []
-        for am, bm in _row_diff(r3.rows, r6.rows):
-            ces.append(Counterexample(fixture.name, "", f"k={k}",
-                                      _wit(universe, a=am, b=bm)))
-        return [_Eval("s6-equals-s3", (universe.full_mask + 1) ** 2, ces)]
-
-    return key, run
+@functools.cache
+def _floor_rows(universe: Universe, kap: InclusionFn,
+                alpha: Fraction) -> tuple[int, ...]:
+    """Bit ``b`` of row ``a`` is set when the measure reaches ``alpha`` on
+    (a, b). It spans every pair of the universe, whatever the granulation,
+    so fixtures over one universe share it."""
+    masks = range(universe.full_mask + 1)
+    return tuple(sum(1 << bm for bm in masks
+                     if kap.on_masks(universe, am, bm) >= alpha)
+                 for am in masks)
 
 
-def _s3_extension_task() -> Task:
-    def run() -> list[_Eval]:
-        fixture = standard_fixture()
-        universe = fixture.universe
-        relation = build_parthood("s3", universe, fixture.granulation,
-                                  k=STANDARD_GRADE)
-        # Second route through member sets rather than masks.
-        members = [frozenset(ESet(universe, m).members)
-                   for m in range(universe.full_mask + 1)]
-        expected = [sum(1 << bm for bm, b in enumerate(members)
-                        if len(a & b) > STANDARD_GRADE and a <= b)
-                    for a in members]
-        diff = _row_diff(relation.rows, expected)
-        ok = not diff and relation.size == 33
-        note = f"{relation.size} pairs" + ("" if ok else "; routes disagree")
-        ces = [Counterexample("standard", "", f"k={STANDARD_GRADE}",
-                              _wit(universe, a=am, b=bm)) for am, bm in diff]
-        return [_Eval("s3-standard-extension", len(members) ** 2, ces, (),
-                      note, ok)]
+def _s0u_from_pu_check(fixture: Fixture, kap: InclusionFn,
+                       alpha: Fraction) -> list[_Eval]:
+    """s0u rebuilt as the pu preorder cut by the measure floor."""
+    universe = fixture.universe
+    g = fixture.granulation
+    r0u = build_parthood("s0u", universe, g, kappa=kap, alpha=alpha)
+    rpu = build_parthood("pu", universe, g, kappa=kap, alpha=alpha)
+    derived = [row & cut for row, cut in
+               zip(rpu.rows, _floor_rows(universe, kap, alpha))]
+    ces = [Counterexample(fixture.name, kap.describe(), str(alpha),
+                          _wit(universe, a=am, b=bm))
+           for am, bm in _row_diff(r0u.rows, derived)]
+    return [_Eval("s0u-from-pu", (universe.full_mask + 1) ** 2, ces)]
 
-    return "s3-extension", run
+
+def _parthood_grade_check(fixture: Fixture, k: int) -> list[_Eval]:
+    universe = fixture.universe
+    g = fixture.granulation
+    r3 = build_parthood("s3", universe, g, k=k)
+    r6 = build_parthood("s6", universe, g, k=k)
+    ces: list[Counterexample] = []
+    for am, bm in _row_diff(r3.rows, r6.rows):
+        ces.append(Counterexample(fixture.name, "", f"k={k}",
+                                  _wit(universe, a=am, b=bm)))
+    return [_Eval("s6-equals-s3", (universe.full_mask + 1) ** 2, ces)]
+
+
+def _s3_extension_check() -> list[_Eval]:
+    fixture = standard_fixture()
+    universe = fixture.universe
+    relation = build_parthood("s3", universe, fixture.granulation,
+                              k=STANDARD_GRADE)
+    # Second route through member sets rather than masks.
+    members = [frozenset(ESet(universe, m).members)
+               for m in range(universe.full_mask + 1)]
+    expected = [sum(1 << bm for bm, b in enumerate(members)
+                    if len(a & b) > STANDARD_GRADE and a <= b)
+                for a in members]
+    diff = _row_diff(relation.rows, expected)
+    ok = not diff and relation.size == 33
+    note = f"{relation.size} pairs" + ("" if ok else "; routes disagree")
+    ces = [Counterexample("standard", "", f"k={STANDARD_GRADE}",
+                          _wit(universe, a=am, b=bm)) for am, bm in diff]
+    return [_Eval("s3-standard-extension", len(members) ** 2, ces, (),
+                  note, ok)]
 
 
 EXPECTED_PU_CLASS_LABELS = (
@@ -681,389 +655,326 @@ EXPECTED_PU_CLASS_LABELS = (
 )
 
 
-def _pu_classes_task() -> Task:
-    def run() -> list[_Eval]:
-        fixture = standard_fixture()
-        universe = fixture.universe
-        result = build_pu(universe, fixture.granulation,
-                          alpha=STANDARD_ALPHA)
-        got = tuple(tuple(m.label() for m in cls) for cls in result.classes)
-        ok = got == EXPECTED_PU_CLASS_LABELS
-        notes = []
-        if not ok:
-            notes.append("classes differ from the frozen expectation")
-        values = result.class_upper_values
-        second, third = values[1], values[2]
-        if second <= third or third <= second:
-            ok = False
-            notes.append("middle classes unexpectedly comparable")
-        # The relation must be exactly what the class order induces.
-        derived = [0] * (universe.full_mask + 1)
-        for cls, value in zip(result.classes, values):
-            above = sum(1 << m.mask for c, v in zip(result.classes, values)
-                        if value <= v for m in c)
-            for m in cls:
-                derived[m.mask] = above
-        if _row_diff(result.relation.rows, derived):
-            ok = False
-            notes.append("class-induced order disagrees with the relation")
-        return [_Eval("pu-classes", (universe.full_mask + 1) ** 2, [], (),
-                      "; ".join(notes) if notes else
-                      f"{len(result.classes)} classes", ok)]
-
-    return "pu-classes", run
+def _pu_classes_check() -> list[_Eval]:
+    fixture = standard_fixture()
+    universe = fixture.universe
+    result = build_pu(universe, fixture.granulation,
+                      alpha=STANDARD_ALPHA)
+    got = tuple(tuple(m.label() for m in cls) for cls in result.classes)
+    ok = got == EXPECTED_PU_CLASS_LABELS
+    notes = []
+    if not ok:
+        notes.append("classes differ from the frozen expectation")
+    values = result.class_upper_values
+    second, third = values[1], values[2]
+    if second <= third or third <= second:
+        ok = False
+        notes.append("middle classes unexpectedly comparable")
+    # The relation must be exactly what the class order induces.
+    derived = [0] * (universe.full_mask + 1)
+    for cls, value in zip(result.classes, values):
+        above = sum(1 << m.mask for c, v in zip(result.classes, values)
+                    if value <= v for m in c)
+        for m in cls:
+            derived[m.mask] = above
+    if _row_diff(result.relation.rows, derived):
+        ok = False
+        notes.append("class-induced order disagrees with the relation")
+    return [_Eval("pu-classes", (universe.full_mask + 1) ** 2, [], (),
+                  "; ".join(notes) if notes else
+                  f"{len(result.classes)} classes", ok)]
 
 
-def _s_star_witness_task() -> Task:
-    def run() -> list[_Eval]:
-        universe = Universe.of(("1", "2", "3", "4", "5", "6", "7", "8", "9",
-                                "12", "15", "20"))
-        a = universe.subset(("1", "2", "3", "4", "5", "6", "7", "8", "9"))
-        b = universe.subset(("1", "2", "3", "4", "5", "12", "15", "20"))
-        c = universe.subset(("20", "12", "1", "2", "3", "6"))
-        k = 4
+def _s_star_witness_check() -> list[_Eval]:
+    universe = Universe.of(("1", "2", "3", "4", "5", "6", "7", "8", "9",
+                            "12", "15", "20"))
+    a = universe.subset(("1", "2", "3", "4", "5", "6", "7", "8", "9"))
+    b = universe.subset(("1", "2", "3", "4", "5", "12", "15", "20"))
+    c = universe.subset(("20", "12", "1", "2", "3", "6"))
+    k = 4
 
-        def via_masks(x: ESet, y: ESet) -> bool:
-            return (x & y).cardinality > k and not (y < x)
+    def via_masks(x: ESet, y: ESet) -> bool:
+        return (x & y).cardinality > k and not (y < x)
 
-        def via_members(x: ESet, y: ESet) -> bool:
-            xs, ys = set(x.members), set(y.members)
-            return len(xs & ys) > k and not (ys < xs)
+    def via_members(x: ESet, y: ESet) -> bool:
+        xs, ys = set(x.members), set(y.members)
+        return len(xs & ys) > k and not (ys < xs)
 
-        ok = True
-        for route in (via_masks, via_members):
-            ok = ok and route(a, b) and route(b, c) and not route(a, c)
-        note = ("transitivity fails on a 12-element universe at grade 4"
-                if ok else "witness did not reproduce")
-        return [_Eval("s-star-transitivity-witness", 6, [], (), note, ok)]
-
-    return "s-star-witness", run
+    ok = True
+    for route in (via_masks, via_members):
+        ok = ok and route(a, b) and route(b, c) and not route(a, c)
+    note = ("transitivity fails on a 12-element universe at grade 4"
+            if ok else "witness did not reproduce")
+    return [_Eval("s-star-transitivity-witness", 6, [], (), note, ok)]
 
 
 _POSITIVE, _NEGATIVE = "holds", "fails-in-general"
 
 
-def _claims_task(tag: str) -> Task:
-    def run() -> list[_Eval]:
-        claims = load_parthood_claims()["claims"][tag]
-        fixture = standard_fixture()
-        relation = build_parthood(tag, fixture.universe, fixture.granulation,
-                                  alpha=STANDARD_ALPHA, k=STANDARD_GRADE)
-        profile = analyze_properties(relation)
-        evals = []
-        for prop, claim in claims.items():
-            status = profile.status(prop)
-            clause = f"claims.{tag}.{prop}"
-            if claim == _POSITIVE:
-                ok = status.status == "holds"
-                ces = []
-                if not ok and status.witness is not None:
-                    ces.append(Counterexample("standard", "K0",
-                                              str(STANDARD_ALPHA),
-                                              status.witness))
-                note = "" if ok else "positive claim refuted by the engine"
-                if not ok and status.status == "conditional":
-                    note += f" ({status.condition})"
-                evals.append(_Eval(clause, 1, ces, (), note, ok))
-            else:
-                found = status.status in ("fails", "conditional")
-                note = ("witness found, as claimed" if found
-                        else "no witness on this fixture; the negative "
-                             "claim is untested here")
-                if status.status == "conditional":
-                    note += f" ({status.condition})"
-                evals.append(_Eval(clause, 1, [], (), note, True))
-        return evals
-
-    return f"claims/{tag}", run
+def _claims_check(tag: str) -> list[_Eval]:
+    claims = load_parthood_claims()["claims"][tag]
+    fixture = standard_fixture()
+    relation = build_parthood(tag, fixture.universe, fixture.granulation,
+                              alpha=STANDARD_ALPHA, k=STANDARD_GRADE)
+    profile = analyze_properties(relation)
+    evals = []
+    for prop, claim in claims.items():
+        status = profile.status(prop)
+        clause = f"claims.{tag}.{prop}"
+        if claim == _POSITIVE:
+            ok = status.status == "holds"
+            ces = []
+            if not ok and status.witness is not None:
+                ces.append(Counterexample("standard", "K0",
+                                          str(STANDARD_ALPHA),
+                                          status.witness))
+            note = "" if ok else "positive claim refuted by the engine"
+            if not ok and status.status == "conditional":
+                note += f" ({status.condition})"
+            evals.append(_Eval(clause, 1, ces, (), note, ok))
+        else:
+            found = status.status in ("fails", "conditional")
+            note = ("witness found, as claimed" if found
+                    else "no witness on this fixture; the negative "
+                         "claim is untested here")
+            if status.status == "conditional":
+                note += f" ({status.condition})"
+            evals.append(_Eval(clause, 1, [], (), note, True))
+    return evals
 
 
-def _rational_task() -> Task:
-    def run() -> list[_Eval]:
-        fixture = standard_fixture()
-        universe = fixture.universe
-        g = fixture.granulation
-        designated = (universe.subset(("x4",)), universe.subset(("x1", "x2")))
-        st_rel = build_parthood("st", universe, g, tset=designated)
+def _rational_check() -> list[_Eval]:
+    fixture = standard_fixture()
+    universe = fixture.universe
+    g = fixture.granulation
+    designated = (universe.subset(("x4",)), universe.subset(("x1", "x2")))
+    st_rel = build_parthood("st", universe, g, tset=designated)
 
-        def lower_op(x: ESet) -> ESet:
-            return vprs_lower(x, g, None, STANDARD_ALPHA)
+    def lower_op(x: ESet) -> ESet:
+        return vprs_lower(x, g, None, STANDARD_ALPHA)
 
-        expected_points = {
-            universe.subset(("x4",)).mask: universe.subset(("x4",)).mask,
-            universe.subset(("x1", "x2")).mask:
-                universe.subset(("x1", "x2")).mask,
-            universe.subset(("x1", "x2", "x3")).mask:
-                universe.subset(("x1", "x2", "x3")).mask,
-            universe.full_mask: universe.subset(("x1", "x2", "x3")).mask,
-        }
-        ces: list[Counterexample] = []
-        for m in range(universe.full_mask + 1):
-            res = rational_lower(ESet(universe, m), lower_op, st_rel)
-            want = expected_points.get(m)
-            assert res.value is not None
-            if want is None:
-                if not res.trivial and len(ces) < 5:
-                    ces.append(Counterexample(
-                        "standard", "K0", str(STANDARD_ALPHA),
-                        _wit(universe, a=m, value=res.value.mask)))
-            elif res.trivial or res.value.mask != want:
+    expected_points = {
+        universe.subset(("x4",)).mask: universe.subset(("x4",)).mask,
+        universe.subset(("x1", "x2")).mask:
+            universe.subset(("x1", "x2")).mask,
+        universe.subset(("x1", "x2", "x3")).mask:
+            universe.subset(("x1", "x2", "x3")).mask,
+        universe.full_mask: universe.subset(("x1", "x2", "x3")).mask,
+    }
+    reports = {rep.name: rep
+               for rep in check_rational_proposition(
+                   universe, lower_op, st_rel)}
+
+    def from_report(name: str, note: str = "") -> _Eval:
+        rep = reports[name]
+        ces = [Counterexample("standard", "K0", str(STANDARD_ALPHA), w)
+               for w in rep.witnesses]
+        return _Eval(name, 1, ces, rep.parameters, note, rep.holds)
+
+    hyp = reports["framework-hypothesis"].holds
+    evals = [from_report(
+        "framework-hypothesis", "" if hyp else
+        "the designated-witness predicate sits outside the hypothesis; "
+        "theorem clauses are gated")]
+    ces: list[Counterexample] = []
+    for m in range(universe.full_mask + 1):
+        res = rational_lower(ESet(universe, m), lower_op, st_rel)
+        want = expected_points.get(m)
+        assert res.value is not None
+        if want is None:
+            if not res.trivial and len(ces) < 5:
                 ces.append(Counterexample(
                     "standard", "K0", str(STANDARD_ALPHA),
-                    _wit(universe, a=m, value=res.value.mask,
-                         expected=want)))
-        evals = [_Eval("standard-points", universe.full_mask + 1, ces, (),
+                    _wit(universe, a=m, value=res.value.mask)))
+        elif res.trivial or res.value.mask != want:
+            ces.append(Counterexample(
+                "standard", "K0", str(STANDARD_ALPHA),
+                _wit(universe, a=m, value=res.value.mask,
+                     expected=want)))
+    evals.append(_Eval("standard-points", universe.full_mask + 1, ces, (),
                        "nontrivial exactly at the four recorded points"
-                       if not ces else "")]
+                       if not ces else ""))
 
-        def up_op(x: ESet) -> ESet:
-            return classical_upper(x, g)
+    def up_op(x: ESet) -> ESet:
+        return classical_upper(x, g)
 
-        def lo_op(x: ESet) -> ESet:
-            return classical_lower(x, g)
+    def lo_op(x: ESet) -> ESet:
+        return classical_lower(x, g)
 
-        one = universe.subset(("x1",))
-        strict = build_parthood("s6", universe, g, k=3)
-        loose = build_parthood("s6", universe, g, k=0)
-        res_strict = rational_upper(one, up_op, lo_op, strict)
-        res_loose = rational_upper(one, up_op, lo_op, loose)
-        ok_upper = (not res_strict.defined and res_loose.defined
-                    and res_loose.value is not None
-                    and res_loose.value.members == ("x1", "x2", "x3"))
-        evals.append(_Eval(
-            "upper-worked-example", 2, [], (),
-            "undefined at grade 3, defined at grade 0" if ok_upper
-            else "worked example did not reproduce", ok_upper))
+    one = universe.subset(("x1",))
+    strict = build_parthood("s6", universe, g, k=3)
+    loose = build_parthood("s6", universe, g, k=0)
+    res_strict = rational_upper(one, up_op, lo_op, strict)
+    res_loose = rational_upper(one, up_op, lo_op, loose)
+    ok_upper = (not res_strict.defined and res_loose.defined
+                and res_loose.value is not None
+                and res_loose.value.members == ("x1", "x2", "x3"))
+    evals.append(_Eval(
+        "upper-worked-example", 2, [], (),
+        "undefined at grade 3, defined at grade 0" if ok_upper
+        else "worked example did not reproduce", ok_upper))
 
-        reports = {rep.name: rep
-                   for rep in check_rational_proposition(
-                       universe, lower_op, st_rel)}
-        for name in ("framework-hypothesis", "idempotent",
-                     "lower-compatible", "s-monotone",
-                     "lower-compatible-open"):
-            rep = reports[name]
-            ces = [Counterexample("standard", "K0", str(STANDARD_ALPHA), w)
-                   for w in rep.witnesses]
-            note = ""
-            if name == "lower-compatible-open":
-                note = "open question; reported, not asserted"
-            if name == "framework-hypothesis" and not rep.holds:
-                note = ("the designated-witness predicate sits outside "
-                        "the hypothesis; theorem clauses are gated")
-            evals.append(_Eval(name, 1, ces, rep.parameters, note,
-                               rep.holds))
-        hyp = reports["framework-hypothesis"].holds
-        mono = reports["s-monotone"].holds
-        evals.append(_Eval(
-            "s-monotone-under-hypothesis", 1, [], (),
-            "vacuous: hypothesis not met" if not hyp else "",
-            (not hyp) or mono))
-        return evals
-
-    return "rational", run
+    evals += [from_report("idempotent"), from_report("lower-compatible"),
+              from_report("s-monotone")]
+    evals.append(_Eval(
+        "s-monotone-under-hypothesis", 1, [], (),
+        "vacuous: hypothesis not met" if not hyp else "",
+        (not hyp) or reports["s-monotone"].holds))
+    evals.append(from_report("lower-compatible-open",
+                             "open question; reported, not asserted"))
+    return evals
 
 
-def _correspond_task(fixture: Fixture, alpha: Fraction) -> Task:
-    key = f"{fixture.name}/{alpha}"
+def _correspond_check(fixture: Fixture, alpha: Fraction) -> list[_Eval]:
+    universe = fixture.universe
+    evals = []
+    for clause, build in (("upper-blocks", build_upper_correspondence),
+                          ("lower-blocks", build_lower_correspondence)):
+        partition = build(universe, fixture.granulation, alpha)
+        ces = []
+        for block in partition.blocks:
+            if not block.verified and len(ces) < 5:
+                ces.append(Counterexample(
+                    fixture.name, "K0", str(alpha),
+                    (("threshold", (str(block.threshold),)),
+                     binding("first-member", block.members[0]))))
+        evals.append(_Eval(clause, len(partition.blocks), ces))
+    return evals
 
-    def run() -> list[_Eval]:
-        universe = fixture.universe
-        evals = []
-        for clause, build in (("upper-blocks", build_upper_correspondence),
-                              ("lower-blocks", build_lower_correspondence)):
-            partition = build(universe, fixture.granulation, alpha)
-            ces = []
-            for block in partition.blocks:
-                if not block.verified and len(ces) < 5:
+
+def _nonrepresentability_check() -> list[_Eval]:
+    fixture = standard_fixture()
+    report = check_nonrepresentability(fixture.universe,
+                                       fixture.granulation, 1)
+    sizes = dict(report.parameters).get("nonrepresentable-sizes", "")
+    singles = {("x1",), ("x2",), ("x3",), ("x4",)}
+    witnessed = {w[0][1] for w in report.witnesses}
+    ok = (not report.holds and sizes == "0,1,2"
+          and singles <= witnessed)
+    return [_Eval("nonrepresentability-k1", 1, [], (),
+                  f"nonrepresentable sizes: {sizes}", ok)]
+
+
+def _ggs_check() -> list[_Eval]:
+    fixture = standard_fixture()
+    universe = fixture.universe
+    g = fixture.granulation
+
+    def lo(x: ESet) -> ESet:
+        return classical_lower(x, g)
+
+    def up(x: ESet) -> ESet:
+        return classical_upper(x, g)
+
+    evals = []
+    for clause, reports in (
+            ("axioms-classical", check_ggs_axioms(universe, g, lo, up)),
+            ("admissibility-classical",
+             check_admissibility(universe, g, lo, up))):
+        ces = []
+        for rep in reports:
+            if not rep.holds:
+                for w in rep.witnesses[:2]:
                     ces.append(Counterexample(
-                        fixture.name, "K0", str(alpha),
-                        (("threshold", (str(block.threshold),)),
-                         binding("first-member", block.members[0]))))
-            evals.append(_Eval(clause, len(partition.blocks), ces))
-        return evals
-
-    return key, run
+                        "standard", "", "",
+                        w + (("axiom", (rep.name,)),)))
+        evals.append(_Eval(clause, len(reports), ces))
+    return evals
 
 
-def _nonrepresentability_task() -> Task:
-    def run() -> list[_Eval]:
-        fixture = standard_fixture()
-        report = check_nonrepresentability(fixture.universe,
-                                           fixture.granulation, 1)
-        sizes = dict(report.parameters).get("nonrepresentable-sizes", "")
-        singles = {("x1",), ("x2",), ("x3",), ("x4",)}
-        witnessed = {w[0][1] for w in report.witnesses}
-        ok = (not report.holds and sizes == "0,1,2"
-              and singles <= witnessed)
-        return [_Eval("nonrepresentability-k1", 1, [], (),
-                      f"nonrepresentable sizes: {sizes}", ok)]
-
-    return "nonrepresentability", run
-
-
-def _ggs_task() -> Task:
-    def run() -> list[_Eval]:
-        fixture = standard_fixture()
-        universe = fixture.universe
-        g = fixture.granulation
-
-        def lo(x: ESet) -> ESet:
-            return classical_lower(x, g)
-
-        def up(x: ESet) -> ESet:
-            return classical_upper(x, g)
-
-        evals = []
-        for clause, reports in (
-                ("axioms-classical", check_ggs_axioms(universe, g, lo, up)),
-                ("admissibility-classical",
-                 check_admissibility(universe, g, lo, up))):
-            ces = []
-            for rep in reports:
-                if not rep.holds:
-                    for w in rep.witnesses[:2]:
-                        ces.append(Counterexample(
-                            "standard", "", "",
-                            w + (("axiom", (rep.name,)),)))
-            evals.append(_Eval(clause, len(reports), ces))
-        return evals
-
-    return "ggs", run
-
-
-def _table_diff_task() -> Task:
-    def run() -> list[_Eval]:
-        report = diff_tables()
-        evals = []
-        for table in report.tables:
-            data = load_reference_table(table.table_id)
-            alpha = str(Fraction(data["alpha"]))
-            for col in table.columns:
-                ces = [
-                    Counterexample(
-                        "standard", "K0", alpha,
-                        (("row", (cell.row,)),
-                         ("engine", cell.engine),
-                         ("reference", cell.reference)))
-                    for cell in col.mismatches[:16]
-                ]
-                note = "" if not ces else (
-                    f"{len(col.mismatches)} published cell(s) diverge from "
-                    "the engine derivation")
-                evals.append(_Eval(f"{table.table_id}.{col.column}",
-                                   col.total, ces, (), note))
-        return evals
-
-    return "table-diff", run
+def _table_diff_check() -> list[_Eval]:
+    report = diff_tables()
+    evals = []
+    for table in report.tables:
+        data = load_reference_table(table.table_id)
+        alpha = str(Fraction(data["alpha"]))
+        for col in table.columns:
+            ces = [
+                Counterexample(
+                    "standard", "K0", alpha,
+                    (("row", (cell.row,)),
+                     ("engine", cell.engine),
+                     ("reference", cell.reference)))
+                for cell in col.mismatches[:16]
+            ]
+            note = "" if not ces else (
+                f"{len(col.mismatches)} published cell(s) diverge from "
+                "the engine derivation")
+            evals.append(_Eval(f"{table.table_id}.{col.column}",
+                               col.total, ces, (), note))
+    return evals
 
 
 _CLAIM_TAGS = ("s3", "s5", "s6", "s7", "s9", "s0l", "s0u")
 
-_CLAUSE_ORDER: dict[str, tuple[str, ...]] = {
-    "table-diff": tuple(
-        f"{tid}.{col}" for tid, cols in (
-            ("bited-gvprs", ("l", "u", "u_b", "l_alpha", "u_alpha")),
-            ("one-grade", ("l_grade_strict", "u_grade", "l_alpha_star",
-                           "u_alpha_star")))
-        for col in cols),
-    "vprs-alpha": ("li", "luA", "lA-idem", "lA-cmo", "uA-cmo", "lA-capc"),
-    "vprs-star": ("lA-cmo*", "uA-cmo*", "luA*", "luAA"),
-    "ri-cap": ("lARI-cap",),
-    "grif": ("ulu2", "llu2", "mo", "refl", "bot", "top", "route-agreement"),
-    "rif-axioms": ("k0-rv-sweep", "k0-ri-sweep", "ri-np-counterexample",
-                   "kst-unit-top-qrif", "kst-mid-wqrif", "k0-classes"),
-    "prif": _PRIF_CLAUSES,
-    "parthood": ("s5-equals-s7", "s6-equals-s3", "s3-standard-extension",
-                 "pu-classes", "s0u-from-pu", "s-star-transitivity-witness")
-    + tuple(f"claims.{tag}.{prop}" for tag in _CLAIM_TAGS
-            for prop in ("reflexive", "part-compatible", "mutual-rough-equal",
-                         "join-compatible", "l-euclidean", "r-euclidean",
-                         "antisymmetric")
-            if tag == "s3" or prop != "antisymmetric"),
-    "rational": ("framework-hypothesis", "standard-points",
-                 "upper-worked-example", "idempotent", "lower-compatible",
-                 "s-monotone", "s-monotone-under-hypothesis",
-                 "lower-compatible-open"),
-    "correspond": ("upper-blocks", "lower-blocks", "nonrepresentability-k1"),
-    "ggs": ("axioms-classical", "admissibility-classical"),
-}
-
-
-def _build_tasks(suite_id: str, fixtures: Sequence[Fixture],
-                 kappas: Sequence[tuple[str, InclusionFn]],
-                 alphas: Sequence[Fraction]) -> list[Task]:
-    tasks: list[Task] = []
+def _run_checks(suite_id: str, fixtures: Sequence[Fixture],
+                kappas: Sequence[tuple[str, InclusionFn]],
+                alphas: Sequence[Fraction]) -> Iterator[_Eval]:
+    """Run every check of one suite, in report order."""
+    tuned = [(f, ktag, kap, alpha) for f in fixtures
+             for ktag, kap in kappas for alpha in alphas]
     if suite_id == "table-diff":
-        tasks.append(_table_diff_task())
+        yield from _table_diff_check()
     elif suite_id in ("vprs-alpha", "vprs-star", "ri-cap"):
-        for f in fixtures:
-            for ktag, kap in kappas:
-                for alpha in alphas:
-                    tasks.append(_vprs_task(suite_id, f, ktag, kap, alpha))
+        for f, ktag, kap, alpha in tuned:
+            yield from _vprs_check(suite_id, f, ktag, kap, alpha)
     elif suite_id == "grif":
         for f in fixtures:
-            tasks.append(_grif_task(f))
+            yield from _grif_check(f)
     elif suite_id == "rif-axioms":
-        tasks.append(_rif_axioms_task())
+        yield from _rif_axioms_check()
     elif suite_id == "prif":
         for ktag in _PRIF_KAPPA_TAGS:
             for size in (3, 4, 5):
-                tasks.append(_prif_task(ktag, size))
+                yield from _prif_check(ktag, size)
     elif suite_id == "parthood":
-        for f in fixtures:
-            for ktag, kap in kappas:
-                for alpha in alphas:
-                    tasks.append(_parthood_equality_task(f, ktag, kap, alpha))
+        for f, _, kap, alpha in tuned:
+            yield from _s5_s7_check(f, kap, alpha)
         for f in fixtures:
             for k in (0, 1, 2):
-                tasks.append(_parthood_grade_task(f, k))
-        tasks.append(_s3_extension_task())
-        tasks.append(_pu_classes_task())
-        tasks.append(_s_star_witness_task())
+                yield from _parthood_grade_check(f, k)
+        yield from _s3_extension_check()
+        yield from _pu_classes_check()
+        for f, _, kap, alpha in tuned:
+            yield from _s0u_from_pu_check(f, kap, alpha)
+        yield from _s_star_witness_check()
         for tag in _CLAIM_TAGS:
-            tasks.append(_claims_task(tag))
+            yield from _claims_check(tag)
     elif suite_id == "rational":
-        tasks.append(_rational_task())
+        yield from _rational_check()
     elif suite_id == "correspond":
-        subset = fixtures[:21]
-        for f in subset:
+        for f in fixtures[:21]:
             for alpha in CORRESPOND_ALPHAS:
-                tasks.append(_correspond_task(f, alpha))
-        tasks.append(_nonrepresentability_task())
+                yield from _correspond_check(f, alpha)
+        yield from _nonrepresentability_check()
     elif suite_id == "ggs":
-        tasks.append(_ggs_task())
-    return tasks
+        yield from _ggs_check()
 
 
-def _merge(suite_id: str, evals: Iterable[list[_Eval]],
+def _merge(evals: Iterable[_Eval],
            max_counterexamples: int) -> tuple[ClauseOutcome, ...]:
-    order = _CLAUSE_ORDER[suite_id]
+    """One outcome per clause, in the order clauses first appear."""
     acc: dict[str, dict] = {}
-    for batch in evals:
-        for ev in batch:
-            slot = acc.setdefault(ev.clause, {
-                "checked": 0, "ces": [], "gates": set(), "notes": [],
-                "ok": True,
-            })
-            slot["checked"] += ev.checked
-            slot["ces"].extend(ev.ces)
-            slot["gates"].update(ev.gates)
-            if ev.note and ev.note not in slot["notes"]:
-                slot["notes"].append(ev.note)
-            if ev.ok is not None:
-                slot["ok"] = slot["ok"] and ev.ok
-    outcomes = []
-    for clause in order:
-        if clause not in acc:
-            continue
-        slot = acc[clause]
-        ces = tuple(slot["ces"][:max_counterexamples])
-        holds = slot["ok"] and not slot["ces"]
-        outcomes.append(ClauseOutcome(
-            clause=clause, holds=holds, checked=slot["checked"],
-            counterexamples=ces, gates=tuple(sorted(slot["gates"])),
-            note="; ".join(slot["notes"])))
-    return tuple(outcomes)
+    for ev in evals:
+        slot = acc.setdefault(ev.clause, {
+            "checked": 0, "ces": [], "gates": set(), "notes": [],
+            "ok": True,
+        })
+        slot["checked"] += ev.checked
+        slot["ces"].extend(ev.ces)
+        slot["gates"].update(ev.gates)
+        if ev.note and ev.note not in slot["notes"]:
+            slot["notes"].append(ev.note)
+        if ev.ok is not None:
+            slot["ok"] = slot["ok"] and ev.ok
+    return tuple(
+        ClauseOutcome(
+            clause=clause, holds=slot["ok"] and not slot["ces"],
+            checked=slot["checked"],
+            counterexamples=tuple(slot["ces"][:max_counterexamples]),
+            gates=tuple(sorted(slot["gates"])),
+            note="; ".join(slot["notes"]))
+        for clause, slot in acc.items())
 
 
 def run_theorem_suite(suite_id: str, *, seed: int = 0,
@@ -1075,9 +986,9 @@ def run_theorem_suite(suite_id: str, *, seed: int = 0,
                       ) -> SuiteResult:
     """Run one verification suite (or ``all``) over the battery.
 
-    Tasks run sequentially and their contributions are merged in
-    construction order. ``threads`` is accepted for compatibility and
-    validated, but does not change how the tasks run.
+    Checks run sequentially in report order, and each clause is reported
+    where it first appears. ``threads`` is accepted for compatibility and
+    validated, but does not change how the checks run.
     """
     if suite_id not in SUITE_IDS:
         raise ValueError(
@@ -1110,11 +1021,8 @@ def run_theorem_suite(suite_id: str, *, seed: int = 0,
         return SuiteResult("all", tuple(outcomes), params)
 
     kappas = tuple((tag, _kappa_from_tag(tag)) for tag in kappa_tags)
-    tasks = _build_tasks(suite_id, fixture_list, kappas, alphas)
-    results = [run() for _, run in tasks]
-    return SuiteResult(suite_id,
-                       _merge(suite_id, results, max_counterexamples),
-                       params)
+    evals = _run_checks(suite_id, fixture_list, kappas, alphas)
+    return SuiteResult(suite_id, _merge(evals, max_counterexamples), params)
 
 
 def counterexample_to_json(ce: Counterexample) -> dict:

@@ -198,10 +198,34 @@ def test_parthood_rejects_designated_strangers(tmp_path, capsys):
     })
     code, _, err = run(capsys, "parthood", "--spec", spec)
     assert code == 2
-    assert "not in the granulation" in err and "at /tset" in err
+    assert err == ("error: designated granule {x1,x3} is not in the "
+                   "granulation at /tset/0\n")
     missing = write_spec(tmp_path, {**STANDARD, "tags": ["st"]}, "m.json")
     code, _, err = run(capsys, "parthood", "--spec", missing)
     assert code == 2 and "required when tags include 'st'" in err
+    stranger = write_spec(tmp_path, {
+        **STANDARD, "sets": [["x1"]],
+        "substantial": {"tag": "st", "tset": [["x4"], ["x1", "x3"]]},
+    }, "r.json")
+    code, _, err = run(capsys, "rational", "--spec", stranger)
+    assert code == 2
+    assert err == ("error: designated granule {x1,x3} is not in the "
+                   "granulation at /substantial/tset/1\n")
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("parthood", {"tags": ["s3"]}),
+    ("rational", {"substantial": {"tag": "s3"}, "sets": [["e1"]]}),
+])
+def test_parthood_cap_names_no_spec_field(tmp_path, capsys, command, extra):
+    spec = write_spec(tmp_path, {
+        "universe": [f"e{i}" for i in range(13)],
+        "granules": [[f"e{i}" for i in range(13)]], **extra})
+    code, _, err = run(capsys, command, "--spec", spec)
+    assert code == 2
+    assert err == ("error: the pairwise parthood sweep over a universe of "
+                   "size 26 exceeds the cap of 24; pass override=True to "
+                   "force it\n")
 
 
 def test_rational_rows(tmp_path, capsys):

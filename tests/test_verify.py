@@ -22,7 +22,7 @@ from roughpart import (
     standard_fixture,
     suite_result_to_json,
 )
-from roughpart import approx
+from roughpart import approx, parthood
 
 
 def _mismatch_rows(report, table_id, column):
@@ -179,3 +179,13 @@ def test_suites_share_one_vprs_table_per_combination():
     approx._vprs_tables.cache_clear()
     run_theorem_suite("all", random_count=4)
     assert approx._vprs_tables.cache_info().misses == 40
+
+
+def test_s0u_from_pu_refutes_a_changed_floor(monkeypatch):
+    """The clause rebuilds the measure floor over every pair, so an s0u
+    built to the wrong floor is caught."""
+    monkeypatch.setitem(parthood._FLOOR_OF, "s0u", lambda alpha: 1 - alpha)
+    result = run_theorem_suite("parthood", random_count=2)
+    outcome = next(o for o in result.outcomes if o.clause == "s0u-from-pu")
+    assert not outcome.holds
+    assert outcome.counterexamples
