@@ -18,19 +18,22 @@ import sys
 from fractions import Fraction
 from typing import Sequence
 
-from .approx import OPERATOR_IDS, ApproxSpec, require_alpha, require_grade
+from .approx import (
+    OPERATOR_IDS,
+    ApproxSpec,
+    require_alpha,
+    require_grade,
+    vprs_tables,
+)
 from .core import (
     CLOSURES,
-    EXHAUSTIVE_CAP,
     CapExceeded,
     ESet,
     Granulation,
     NEIGHBORHOOD_MODES,
     RelationSpec,
     Universe,
-    _check_cap,
     build_neighborhood_granulation,
-    image_table,
     neighborhood_map,
 )
 from .correspond import (
@@ -38,7 +41,7 @@ from .correspond import (
     build_upper_correspondence,
     check_nonrepresentability,
 )
-from .inclusion import VALID_AXIOMS, check_axiom, classify_rif
+from .inclusion import SWEPT_AXIOMS, VALID_AXIOMS, _rif_classes, check_axiom
 from .parthood import PARTHOOD_TAGS, analyze_properties, build_parthood
 from .rational import (
     _exhaustive_lower,
@@ -338,8 +341,9 @@ def cmd_axioms(args: argparse.Namespace) -> int:
             raise SpecError("expected a fraction string", "/delta") from exc
         if not 0 <= delta <= 1:
             _fail("threshold must lie in [0, 1]", "/delta")
-    reports = [check_axiom(kappa, axiom, universe, delta=delta,
-                           max_witnesses=1) for axiom in axioms]
+    reports = [check_axiom(kappa, axiom, universe, max_witnesses=1,
+                           delta=delta if axiom in SWEPT_AXIOMS else None)
+               for axiom in axioms]
     table_rows = []
     json_axioms = []
     for report in reports:
@@ -356,7 +360,17 @@ def cmd_axioms(args: argparse.Namespace) -> int:
             "witness": witness,
             "note": note,
         })
-    classes = list(classify_rif(kappa, universe))
+    # The class tags read RV over the default sweep, not at a pinned delta.
+    verdicts = {r.name: r.holds for r in reports
+                if r.name != "RV" or delta is None}
+
+    def holds(axiom: str) -> bool:
+        if axiom not in verdicts:
+            verdicts[axiom] = check_axiom(kappa, axiom, universe,
+                                          max_witnesses=1).holds
+        return verdicts[axiom]
+
+    classes = list(_rif_classes(holds))
     payload = {"classes": classes, "axioms": json_axioms}
     footer = "classes: " + (", ".join(classes) if classes else "none")
     _emit(args, ("axiom", "holds", "witness", "note"), table_rows, payload,
@@ -450,13 +464,9 @@ def cmd_rational(args: argparse.Namespace) -> int:
         _fail("field is required when the tag is 'st'", "/substantial/tset")
     substantial = build_parthood(tag, universe, granulation, kappa=kappa,
                                  alpha=alpha, k=sub_k, tset=sub_tset)
-    approx = ApproxSpec(granulation, kappa, alpha, 0)
-    lower = approx.operator("l_alpha")
+    tables = vprs_tables(granulation, kappa, alpha)
+    lo, up = tables.lower, tables.upper
     sets = _get_sets(spec, universe)
-    _check_cap(universe.size * 2, EXHAUSTIVE_CAP, False,
-               "the rational upper search")
-    lo = image_table(universe, lower)
-    up = image_table(universe, approx.operator("u_alpha"))
     definites = _nonempty_definites(universe, lo)
     table_rows = []
     json_points = []
@@ -464,7 +474,8 @@ def cmd_rational(args: argparse.Namespace) -> int:
         if mode == "exhaustive":
             low = _exhaustive_lower(x, lo, definites, substantial.holds)
         else:
-            low = rational_lower(x, lower, substantial)
+            low = rational_lower(x, lambda s: ESet(universe, lo[s.mask]),
+                                 substantial)
         high = _upper_search(x, up, definites, substantial.holds)
         for kind, res in (("lower", low), ("upper", high)):
             value = res.value.label() if res.value is not None else ""

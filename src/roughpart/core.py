@@ -37,12 +37,10 @@ class CapExceeded(ValueError):
     """An exhaustive sweep was requested over too large a powerset."""
 
 
-def _check_cap(size: int, cap: int, override: bool, what: str) -> None:
-    if size > cap and not override:
+def _check_cap(size: int, cap: int, what: str) -> None:
+    if size > cap:
         raise CapExceeded(
-            f"{what} over a universe of size {size} exceeds the cap of "
-            f"{cap}; pass override=True to force it"
-        )
+            f"{what} over a universe of size {size} exceeds the cap of {cap}")
 
 
 @dataclass(frozen=True)
@@ -94,10 +92,9 @@ class Universe:
     def full(self) -> "ESet":
         return ESet(self, self.full_mask)
 
-    def subsets(self, *, cap: int = EXHAUSTIVE_CAP,
-                override: bool = False) -> Iterator["ESet"]:
+    def subsets(self) -> Iterator["ESet"]:
         """All subsets in mask order. Guarded by the exhaustive cap."""
-        _check_cap(self.size, cap, override, "a powerset sweep")
+        _check_cap(self.size, EXHAUSTIVE_CAP, "a powerset sweep")
         for mask in range(self.full_mask + 1):
             yield ESet(self, mask)
 
@@ -345,14 +342,15 @@ def image_table(universe: Universe, op: Operator) -> list[int]:
     return [op(ESet(universe, m)).mask for m in range(universe.full_mask + 1)]
 
 
+_MAX_WITNESSES = 3
+
 # Axioms that only restate inclusion, union and intersection on bitmasks.
 _LATTICE_AXIOMS = ("PT1", "PT2", "G1", "G2", "G3", "G4", "G5")
 
 
 def check_ggs_axioms(universe: Universe, granulation: Granulation,
-                     lower: Operator, upper: Operator, *,
-                     max_witnesses: int = 3, cap: int = EXHAUSTIVE_CAP,
-                     override: bool = False) -> tuple[CheckReport, ...]:
+                     lower: Operator,
+                     upper: Operator) -> tuple[CheckReport, ...]:
     """Evaluate the framework's structural axioms for a set instantiation.
 
     The parthood is inclusion and the lattice operations are union and
@@ -362,7 +360,7 @@ def check_ggs_axioms(universe: Universe, granulation: Granulation,
     operator axioms UL1, UL2 and UL3 depend on ``lower`` and ``upper`` and
     are swept over the whole powerset.
     """
-    _check_cap(universe.size, cap, override, "the structural axiom check")
+    _check_cap(universe.size, EXHAUSTIVE_CAP, "the structural axiom check")
     lo = image_table(universe, lower)
     up = image_table(universe, upper)
     n = universe.full_mask
@@ -370,7 +368,7 @@ def check_ggs_axioms(universe: Universe, granulation: Granulation,
 
     def report(name: str, failures: list[Witness]) -> CheckReport:
         return CheckReport(name=name, holds=not failures,
-                           witnesses=tuple(failures[:max_witnesses]),
+                           witnesses=tuple(failures[:_MAX_WITNESSES]),
                            universe_size=universe.size)
 
     def w(**kw: int) -> Witness:
@@ -392,9 +390,8 @@ def check_ggs_axioms(universe: Universe, granulation: Granulation,
 
 
 def check_admissibility(universe: Universe, granulation: Granulation,
-                        lower: Operator, upper: Operator, *,
-                        max_witnesses: int = 3, cap: int = EXHAUSTIVE_CAP,
-                        override: bool = False) -> tuple[CheckReport, ...]:
+                        lower: Operator,
+                        upper: Operator) -> tuple[CheckReport, ...]:
     """Check the three granularity conditions for the operator pair.
 
     The first demands that every approximation is a union of granules, the
@@ -403,7 +400,7 @@ def check_admissibility(universe: Universe, granulation: Granulation,
     inside some common subset that is its own lower and upper
     approximation.
     """
-    _check_cap(universe.size, cap, override, "the admissibility check")
+    _check_cap(universe.size, EXHAUSTIVE_CAP, "the admissibility check")
     lo = image_table(universe, lower)
     up = image_table(universe, upper)
     gmasks = granulation.masks
@@ -425,7 +422,7 @@ def check_admissibility(universe: Universe, granulation: Granulation,
                               ("operator", (tag,)),
                               binding("value", ESet(universe, v))))
     reports.append(CheckReport("weak-representability", not fails,
-                               tuple(fails[:max_witnesses]), universe.size))
+                               tuple(fails[:_MAX_WITNESSES]), universe.size))
 
     fails = []
     for g in gmasks:
@@ -434,7 +431,7 @@ def check_admissibility(universe: Universe, granulation: Granulation,
                 fails.append((binding("granule", ESet(universe, g)),
                               binding("a", ESet(universe, a))))
     reports.append(CheckReport("lower-stability", not fails,
-                               tuple(fails[:max_witnesses]), universe.size))
+                               tuple(fails[:_MAX_WITNESSES]), universe.size))
 
     definite = [z for z in range(n + 1) if lo[z] == z and up[z] == z]
     fails = []
@@ -445,5 +442,5 @@ def check_admissibility(universe: Universe, granulation: Granulation,
                 fails.append((binding("granule1", ESet(universe, g)),
                               binding("granule2", ESet(universe, h))))
     reports.append(CheckReport("mereological-fullness", not fails,
-                               tuple(fails[:max_witnesses]), universe.size))
+                               tuple(fails[:_MAX_WITNESSES]), universe.size))
     return tuple(reports)

@@ -97,8 +97,8 @@ def _threshold_route(x: ESet, granulation: Granulation, m: int) -> ESet:
 
 
 def _build(universe: Universe, granulation: Granulation, alpha: Fraction,
-           side: str, cap: int, override: bool) -> GradePartition:
-    _check_cap(universe.size, cap, override, "the correspondence sweep")
+           side: str) -> GradePartition:
+    _check_cap(universe.size, EXHAUSTIVE_CAP, "the correspondence sweep")
     if granulation.universe != universe:
         raise ValueError("granulation belongs to a different universe")
     tables = vprs_tables(granulation, kappa_k0(), alpha)
@@ -134,30 +134,23 @@ def _build(universe: Universe, granulation: Granulation, alpha: Fraction,
 
 
 def build_upper_correspondence(universe: Universe, granulation: Granulation,
-                               alpha: Fraction | int | str, *,
-                               cap: int = EXHAUSTIVE_CAP,
-                               override: bool = False) -> GradePartition:
+                               alpha: Fraction | int | str) -> GradePartition:
     """Partition the powerset by upper-side counting thresholds, verifying
     membership along both routes for every subset."""
-    return _build(universe, granulation, require_alpha(alpha), "upper",
-                  cap, override)
+    return _build(universe, granulation, require_alpha(alpha), "upper")
 
 
 def build_lower_correspondence(universe: Universe, granulation: Granulation,
-                               alpha: Fraction | int | str, *,
-                               cap: int = EXHAUSTIVE_CAP,
-                               override: bool = False) -> GradePartition:
+                               alpha: Fraction | int | str) -> GradePartition:
     """Lower-side counterpart of :func:`build_upper_correspondence`. The
     partition note also records how often the deficit reading of the
     graded lower operator reproduces the measure route; the two agree
     only sometimes, which is the point of keeping both readings."""
-    return _build(universe, granulation, require_alpha(alpha), "lower",
-                  cap, override)
+    return _build(universe, granulation, require_alpha(alpha), "lower")
 
 
 def check_nonrepresentability(universe: Universe, granulation: Granulation,
-                              k: int, *, cap: int = EXHAUSTIVE_CAP,
-                              override: bool = False) -> CheckReport:
+                              k: int) -> CheckReport:
     """Find the subsets on which grade ``k`` matches no precision.
 
     A nonempty subset of size ``n`` needs a precision with
@@ -168,7 +161,7 @@ def check_nonrepresentability(universe: Universe, granulation: Granulation,
     first.
     """
     require_grade(k)
-    _check_cap(universe.size, cap, override, "the representability sweep")
+    _check_cap(universe.size, EXHAUSTIVE_CAP, "the representability sweep")
     witnesses = []
     bad_sizes = set()
     for m in range(universe.full_mask + 1):

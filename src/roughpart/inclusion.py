@@ -406,9 +406,7 @@ def evaluate_axiom_instance(kappa: InclusionFn, axiom_id: str,
 
 def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
                 delta: Fraction | None = None, max_witnesses: int = 3,
-                probe_bindings: Sequence[ProbeBinding] = (),
-                cap: int = EXHAUSTIVE_CAP,
-                override: bool = False) -> CheckReport:
+                probe_bindings: Sequence[ProbeBinding] = ()) -> CheckReport:
     """Exhaustively test one axiom for ``kappa`` over a finite universe.
 
     Swept axioms (RV, RI, RI-np) quantify over a threshold as well: pass
@@ -445,7 +443,7 @@ def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
         params.append(("sweep", "skipped: probe witnesses decide"))
         failures = probe_failures
     else:
-        _check_cap(universe.size, cap, override, f"the {axiom_id} sweep")
+        _check_cap(universe.size, EXHAUSTIVE_CAP, f"the {axiom_id} sweep")
         val = functools.cache(functools.partial(kappa.on_masks, universe))
         failures = (
             ([ESet(universe, m) for m in ms], d) for ms, d in
@@ -458,9 +456,7 @@ def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
                        universe.size, tuple(params))
 
 
-def classify_rif(kappa: InclusionFn, universe: Universe, *,
-                 cap: int = EXHAUSTIVE_CAP,
-                 override: bool = False) -> tuple[str, ...]:
+def classify_rif(kappa: InclusionFn, universe: Universe) -> tuple[str, ...]:
     """Class tags earned by ``kappa`` on the given universe, sorted.
 
     The graded class demands equivalence with inclusion plus unit-preimage
@@ -468,11 +464,12 @@ def classify_rif(kappa: InclusionFn, universe: Universe, *,
     class trades the monotony for its order form; the precision class asks
     for the chain-stability axiom at every swept threshold.
     """
-    @functools.cache
-    def holds(axiom: str) -> bool:
-        return check_axiom(kappa, axiom, universe, max_witnesses=1,
-                           cap=cap, override=override).holds
+    return _rif_classes(functools.cache(lambda axiom: check_axiom(
+        kappa, axiom, universe, max_witnesses=1).holds))
 
+
+def _rif_classes(holds: Callable[[str], bool]) -> tuple[str, ...]:
+    """Class tags from ``holds``; RV must be the default-sweep verdict."""
     r0 = holds("R0")
     tags = []
     if r0 and holds("IR0") and holds("R2"):
@@ -490,9 +487,8 @@ _IMPLICATION_AXIOMS = ("U1", "R0", "IR0", "R1", "R2", "R3", "R4", "IR4",
                        "R5", "RB", "R6")
 
 
-def check_prif_implications(kappa: InclusionFn, universe: Universe, *,
-                            cap: int = EXHAUSTIVE_CAP,
-                            override: bool = False) -> tuple[CheckReport, ...]:
+def check_prif_implications(kappa: InclusionFn,
+                            universe: Universe) -> tuple[CheckReport, ...]:
     """Verify the implication lattice between axiom verdicts.
 
     Each implication below holds for every [0, 1]-valued measure on a
@@ -500,10 +496,8 @@ def check_prif_implications(kappa: InclusionFn, universe: Universe, *,
     property of ``kappa``. The reports carry the individual axiom verdicts
     in their parameters so a violation is diagnosable.
     """
-    t: dict[str, bool] = {}
-    for axiom in _IMPLICATION_AXIOMS:
-        t[axiom] = check_axiom(kappa, axiom, universe, max_witnesses=1,
-                               cap=cap, override=override).holds
+    t = {axiom: check_axiom(kappa, axiom, universe, max_witnesses=1).holds
+         for axiom in _IMPLICATION_AXIOMS}
 
     implications = (
         ("prif1", (not t["R1"]) or (t["R2"] == t["R3"])),

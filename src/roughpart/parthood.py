@@ -148,9 +148,7 @@ def _supersets(size: int) -> list[int]:
 def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
                    kappa: InclusionFn | None = None,
                    alpha: Fraction | int | str = 0, k: int = 0,
-                   tset: Iterable[ESet] | None = None,
-                   cap: int = EXHAUSTIVE_CAP,
-                   override: bool = False) -> ParthoodRelation:
+                   tset: Iterable[ESet] | None = None) -> ParthoodRelation:
     """Materialize one parthood predicate over the whole powerset.
 
     The relation covers all pairs of subsets, so it is guarded as a
@@ -167,7 +165,7 @@ def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
         )
     if granulation.universe != universe:
         raise ValueError("granulation belongs to a different universe")
-    _check_cap(universe.size * 2, cap, override,
+    _check_cap(universe.size * 2, EXHAUSTIVE_CAP,
                "the pairwise parthood sweep")
     kap = kappa if kappa is not None else kappa_k0()
     alpha = require_alpha(alpha)
@@ -233,13 +231,12 @@ class PuResult:
 
 def build_pu(universe: Universe, granulation: Granulation, *,
              kappa: InclusionFn | None = None,
-             alpha: Fraction | int | str = 0,
-             cap: int = EXHAUSTIVE_CAP, override: bool = False) -> PuResult:
+             alpha: Fraction | int | str = 0) -> PuResult:
     """Build the preorder comparing upper approximations, plus the classes
     of subsets sharing one upper value. Classes come sorted by their
     smallest member, members sorted within each class."""
     relation = build_parthood("pu", universe, granulation, kappa=kappa,
-                              alpha=alpha, cap=cap, override=override)
+                              alpha=alpha)
     up = vprs_tables(granulation, kappa, alpha).upper
     groups: dict[int, list[int]] = {}
     for m, value in enumerate(up):
@@ -315,9 +312,7 @@ def _first_bits(cases: Iterable[tuple[int, ...]]
             yield (*fixed, (bits & -bits).bit_length() - 1)
 
 
-def analyze_properties(relation: ParthoodRelation, *,
-                       cap: int = TRIPLE_CAP,
-                       override: bool = False) -> PropertyProfile:
+def analyze_properties(relation: ParthoodRelation) -> PropertyProfile:
     """Check the framework conditions for a materialized relation.
 
     Pair properties are row and column expressions, and triple
@@ -326,7 +321,7 @@ def analyze_properties(relation: ParthoodRelation, *,
     pair order.
     """
     universe = relation.universe
-    _check_cap(universe.size, cap, override, "the property triple sweep")
+    _check_cap(universe.size, TRIPLE_CAP, "the property triple sweep")
     eq = _rough_equal_rows(relation)
     masks = range(universe.full_mask + 1)
     rows = relation.rows
@@ -394,17 +389,15 @@ def analyze_properties(relation: ParthoodRelation, *,
                            relation.parameters)
 
 
-def equalizers(kappa: InclusionFn, a: ESet, b: ESet, *,
-               cap: int = EXHAUSTIVE_CAP,
-               override: bool = False) -> tuple[tuple[ESet, ...],
-                                                tuple[ESet, ...]]:
+def equalizers(kappa: InclusionFn, a: ESet,
+               b: ESet) -> tuple[tuple[ESet, ...], tuple[ESet, ...]]:
     """The two equalizer families of a pair under a measure: subsets that
     reproduce the pair's score when substituted on the right, and on the
     left. Results are sorted by mask."""
     if a.universe != b.universe:
         raise ValueError("subsets belong to different universes")
     universe = a.universe
-    _check_cap(universe.size, cap, override, "the equalizer sweep")
+    _check_cap(universe.size, EXHAUSTIVE_CAP, "the equalizer sweep")
     score = kappa(a, b)
     right = []
     left = []

@@ -28,7 +28,7 @@ ever being asserted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import (
     EXHAUSTIVE_CAP,
@@ -72,11 +72,11 @@ def _as_predicate(substantial: Substantial | ParthoodRelation) -> Substantial:
     return substantial
 
 
-def _nonempty_definites(universe: Universe, lo: list[int]) -> list[ESet]:
+def _nonempty_definites(universe: Universe, lo: Sequence[int]) -> list[ESet]:
     return [ESet(universe, m) for m in range(1, len(lo)) if lo[m] == m]
 
 
-def _exhaustive_lower(a: ESet, lo: list[int], definites: list[ESet],
+def _exhaustive_lower(a: ESet, lo: Sequence[int], definites: list[ESet],
                       ps: Substantial) -> RationalResult:
     """The ``exhaustive`` search of :func:`rational_lower`, reading lower
     images from ``lo``, the lower table indexed by mask."""
@@ -96,9 +96,7 @@ def _exhaustive_lower(a: ESet, lo: list[int], definites: list[ESet],
 
 def rational_lower(a: ESet, lower: Operator,
                    substantial: Substantial | ParthoodRelation, *,
-                   mode: str = "substantial",
-                   cap: int = EXHAUSTIVE_CAP,
-                   override: bool = False) -> RationalResult:
+                   mode: str = "substantial") -> RationalResult:
     """Rational lower approximation of ``a``.
 
     Always defined. In ``substantial`` mode the value is the lower
@@ -121,16 +119,15 @@ def rational_lower(a: ESet, lower: Operator,
         return RationalResult(True, universe.empty, (), True, mode,
                               ("no substantial lower value; trivial fallback",))
 
-    _check_cap(universe.size * 2, cap, override,
+    _check_cap(universe.size * 2, EXHAUSTIVE_CAP,
                "the exhaustive rational lower search")
     lo = image_table(universe, lower)
     return _exhaustive_lower(a, lo, _nonempty_definites(universe, lo), ps)
 
 
 def rational_upper(a: ESet, upper: Operator, lower: Operator,
-                   substantial: Substantial | ParthoodRelation, *,
-                   cap: int = EXHAUSTIVE_CAP,
-                   override: bool = False) -> RationalResult:
+                   substantial: Substantial | ParthoodRelation
+                   ) -> RationalResult:
     """Rational upper approximation of ``a``; partial by design.
 
     Candidates are the images of the upper operator, smallest first, then
@@ -142,14 +139,13 @@ def rational_upper(a: ESet, upper: Operator, lower: Operator,
     undefined.
     """
     universe = a.universe
-    _check_cap(universe.size * 2, cap, override,
-               "the rational upper search")
+    _check_cap(universe.size * 2, EXHAUSTIVE_CAP, "the rational upper search")
     definites = _nonempty_definites(universe, image_table(universe, lower))
     return _upper_search(a, image_table(universe, upper), definites,
                          _as_predicate(substantial))
 
 
-def _upper_search(a: ESet, up: list[int], definites: list[ESet],
+def _upper_search(a: ESet, up: Sequence[int], definites: list[ESet],
                   ps: Substantial) -> RationalResult:
     """The candidate search of :func:`rational_upper`, reading upper
     images from ``up``, the upper table indexed by mask."""
@@ -197,9 +193,7 @@ def _relation_for(universe: Universe,
 def check_rational_proposition(universe: Universe, lower: Operator,
                                substantial: Substantial | ParthoodRelation, *,
                                upper: Operator | None = None,
-                               mode: str = "substantial",
-                               cap: int = EXHAUSTIVE_CAP,
-                               override: bool = False
+                               mode: str = "substantial"
                                ) -> tuple[CheckReport, ...]:
     """Evaluate the compatibility statements for the rational maps.
 
@@ -212,10 +206,10 @@ def check_rational_proposition(universe: Universe, lower: Operator,
     they are informational and must not be asserted.
     """
     ps = _as_predicate(substantial)
-    _check_cap(universe.size * 2, cap, override,
+    _check_cap(universe.size * 2, EXHAUSTIVE_CAP,
                "the rational proposition sweep")
     relation = _relation_for(universe, substantial)
-    profile = analyze_properties(relation, override=override)
+    profile = analyze_properties(relation)
     hyp_parts = {
         name: profile.status(name).status == "holds"
         for name in _HYPOTHESIS_PROPS
@@ -247,8 +241,7 @@ def check_rational_proposition(universe: Universe, lower: Operator,
         if mode == "exhaustive":
             res = _exhaustive_lower(x, lo, definites, ps)
         else:
-            res = rational_lower(x, lower, ps, mode=mode, cap=cap,
-                                 override=override)
+            res = rational_lower(x, lower, ps, mode=mode)
         assert res.value is not None
         return res.value
 

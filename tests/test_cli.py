@@ -6,15 +6,20 @@ from fractions import Fraction
 import pytest
 
 import roughpart.approx as approx
+import roughpart.cli as cli
+import roughpart.inclusion as inclusion
 from roughpart import (
+    VALID_AXIOMS,
     Granulation,
     Universe,
     build_parthood,
+    classify_rif,
     kappa_k0,
     rational_lower,
     rational_upper,
 )
 from roughpart.cli import main
+from roughpart.inclusion import SWEPT_AXIOMS
 
 STANDARD = {
     "universe": ["x1", "x2", "x3", "x4"],
@@ -112,6 +117,48 @@ def test_axioms_json_payload(tmp_path, capsys):
     assert payload["classes"] == ["gRIF", "pRIF", "qRIF", "wqRIF"]
     assert [a["axiom"] for a in payload["axioms"]] == ["R0", "R1"]
     assert all(a["holds"] for a in payload["axioms"])
+
+
+def test_axioms_pin_delta_on_swept_axioms_only(tmp_path, capsys):
+    base = {"universe": ["e1", "e2", "e3", "e4"], "kappa": "K0"}
+    _, plain, _ = run(capsys, "axioms", "--spec", write_spec(tmp_path, base),
+                      "--format", "json")
+    code, pinned, err = run(capsys, "axioms", "--spec",
+                            write_spec(tmp_path, {**base, "delta": "1/2"},
+                                       "d.json"), "--format", "json")
+    assert code == 0 and err == ""
+    plain, pinned = json.loads(plain), json.loads(pinned)
+    assert pinned["classes"] == plain["classes"]
+    assert len(pinned["axioms"]) == len(VALID_AXIOMS)
+    for before, row in zip(plain["axioms"], pinned["axioms"]):
+        if row["axiom"] in SWEPT_AXIOMS:
+            assert row["note"] == "kappa=K0; delta=1/2"
+        else:
+            assert row == before
+
+
+@pytest.mark.parametrize("extra, checks", [
+    ({}, 14),                   # every class verdict is already swept
+    ({"delta": "1/2"}, 15),     # RV is swept again over the default deltas
+    ({"axioms": ["R6"]}, 6),    # R0, IR0, R2, R3 and RV are checked once
+])
+def test_axioms_reuse_their_verdicts_for_the_classes(tmp_path, capsys,
+                                                     monkeypatch, extra,
+                                                     checks):
+    calls = []
+    real = inclusion.check_axiom
+
+    def counting(kappa, axiom, universe, **kw):
+        calls.append(axiom)
+        return real(kappa, axiom, universe, **kw)
+
+    monkeypatch.setattr(cli, "check_axiom", counting)
+    monkeypatch.setattr(inclusion, "check_axiom", counting)
+    spec = write_spec(tmp_path, {"universe": ["e1", "e2", "e3"], **extra})
+    code, out, _ = run(capsys, "axioms", "--spec", spec, "--format", "json")
+    assert code == 0 and len(calls) == checks
+    assert json.loads(out)["classes"] == \
+        list(classify_rif(kappa_k0(), Universe(("e1", "e2", "e3"))))
 
 
 def test_spec_errors_carry_json_pointers(tmp_path, capsys):
@@ -224,8 +271,7 @@ def test_parthood_cap_names_no_spec_field(tmp_path, capsys, command, extra):
     code, _, err = run(capsys, command, "--spec", spec)
     assert code == 2
     assert err == ("error: the pairwise parthood sweep over a universe of "
-                   "size 26 exceeds the cap of 24; pass override=True to "
-                   "force it\n")
+                   "size 26 exceeds the cap of 24\n")
 
 
 def test_rational_rows(tmp_path, capsys):

@@ -146,10 +146,9 @@ def test_neighborhood_granulation_drops_empty_neighborhoods():
 
 
 def test_subsets_cap_guard():
-    u = Universe(("x1", "x2", "x3"))
     with pytest.raises(CapExceeded):
-        list(u.subsets(cap=2))
-    assert len(list(u.subsets(cap=2, override=True))) == 8
+        next(Universe(tuple(f"x{i}" for i in range(25))).subsets())
+    assert next(Universe(tuple(f"x{i}" for i in range(24))).subsets()).is_empty
 
 
 def test_ggs_axioms_all_hold_for_classical_operators(std):
