@@ -210,10 +210,20 @@ def _get_kappa(spec: dict):
         raise SpecError(str(exc), "/kappa") from exc
 
 
+def _fraction(value: object, pointer: str) -> Fraction:
+    """An exact threshold: a fraction string or an integer, not a float."""
+    if isinstance(value, (str, int)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SpecError("expected a fraction string", pointer)
+
+
 def _get_alpha(spec: dict) -> Fraction:
     try:
-        return require_alpha(spec.get("alpha", "0"))
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return require_alpha(_fraction(spec.get("alpha", "0"), "/alpha"))
+    except ValueError as exc:
         raise SpecError(str(exc), "/alpha") from exc
 
 
@@ -335,10 +345,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
         axioms = list(VALID_AXIOMS)
     delta = None
     if "delta" in spec:
-        try:
-            delta = Fraction(spec["delta"])
-        except (ValueError, TypeError, ZeroDivisionError) as exc:
-            raise SpecError("expected a fraction string", "/delta") from exc
+        delta = _fraction(spec["delta"], "/delta")
         if not 0 <= delta <= 1:
             _fail("threshold must lie in [0, 1]", "/delta")
     reports = [check_axiom(kappa, axiom, universe, max_witnesses=1,
@@ -549,8 +556,7 @@ def cmd_correspond(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     result = run_theorem_suite(args.suite, seed=args.seed,
-                               random_count=args.random_count,
-                               threads=args.threads)
+                               random_count=args.random_count)
     mismatches = compare_with_expected([result])
     table_rows = []
     for outcome in result.outcomes:
@@ -580,6 +586,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _emit(args, ("clause", "verdict", "checked", "note"), table_rows,
           payload, footers)
     return 1 if mismatches else 0
+
+
+def _count(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"expected a nonnegative integer, got {text!r}")
+    return int(text)
 
 
 def _add_common(parser: argparse.ArgumentParser, *, spec: bool) -> None:
@@ -635,11 +648,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="which suite to run (default: all)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the random fixture battery (default: 0)")
-    p.add_argument("--random-count", type=int, default=50,
+    p.add_argument("--random-count", type=_count, default=50,
                    help="number of random fixtures (default: 50)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; tasks always run "
-                        "sequentially (default: 1)")
     p.set_defaults(fn=cmd_verify)
     return parser
 

@@ -81,9 +81,6 @@ class Universe:
             mask |= 1 << self.index(name)
         return ESet(self, mask)
 
-    def from_mask(self, mask: int) -> "ESet":
-        return ESet(self, mask)
-
     @property
     def empty(self) -> "ESet":
         return ESet(self, 0)

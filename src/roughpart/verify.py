@@ -23,7 +23,7 @@ import functools
 import itertools
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from importlib import resources
 from typing import Callable, Iterable, Iterator, Sequence
@@ -907,12 +907,11 @@ def _table_diff_check() -> list[_Eval]:
 
 _CLAIM_TAGS = ("s3", "s5", "s6", "s7", "s9", "s0l", "s0u")
 
-def _run_checks(suite_id: str, fixtures: Sequence[Fixture],
-                kappas: Sequence[tuple[str, InclusionFn]],
-                alphas: Sequence[Fraction]) -> Iterator[_Eval]:
+def _run_checks(suite_id: str, fixtures: Sequence[Fixture]
+                ) -> Iterator[_Eval]:
     """Run every check of one suite, in report order."""
-    tuned = [(f, ktag, kap, alpha) for f in fixtures
-             for ktag, kap in kappas for alpha in alphas]
+    tuned = [(f, ktag, _kappa_from_tag(ktag), alpha) for f in fixtures
+             for ktag in DEFAULT_KAPPA_TAGS for alpha in DEFAULT_ALPHAS]
     if suite_id == "table-diff":
         yield from _table_diff_check()
     elif suite_id in ("vprs-alpha", "vprs-star", "ri-cap"):
@@ -951,8 +950,10 @@ def _run_checks(suite_id: str, fixtures: Sequence[Fixture],
         yield from _ggs_check()
 
 
-def _merge(evals: Iterable[_Eval],
-           max_counterexamples: int) -> tuple[ClauseOutcome, ...]:
+_MAX_COUNTEREXAMPLES = 5
+
+
+def _merge(evals: Iterable[_Eval]) -> tuple[ClauseOutcome, ...]:
     """One outcome per clause, in the order clauses first appear."""
     acc: dict[str, dict] = {}
     for ev in evals:
@@ -971,58 +972,41 @@ def _merge(evals: Iterable[_Eval],
         ClauseOutcome(
             clause=clause, holds=slot["ok"] and not slot["ces"],
             checked=slot["checked"],
-            counterexamples=tuple(slot["ces"][:max_counterexamples]),
+            counterexamples=tuple(slot["ces"][:_MAX_COUNTEREXAMPLES]),
             gates=tuple(sorted(slot["gates"])),
             note="; ".join(slot["notes"]))
         for clause, slot in acc.items())
 
 
 def run_theorem_suite(suite_id: str, *, seed: int = 0,
-                      random_count: int = 50,
-                      alphas: Sequence[Fraction] = DEFAULT_ALPHAS,
-                      kappa_tags: Sequence[str] = DEFAULT_KAPPA_TAGS,
-                      threads: int = 1, max_counterexamples: int = 5,
-                      fixtures: Sequence[Fixture] | None = None
-                      ) -> SuiteResult:
+                      random_count: int = 50) -> SuiteResult:
     """Run one verification suite (or ``all``) over the battery.
 
     Checks run sequentially in report order, and each clause is reported
-    where it first appears. ``threads`` is accepted for compatibility and
-    validated, but does not change how the checks run.
+    where it first appears; ``all`` runs every suite in turn and prefixes
+    each clause with its suite.
     """
     if suite_id not in SUITE_IDS:
         raise ValueError(
             f"unknown suite {suite_id!r}; valid identifiers: "
             f"{', '.join(SUITE_IDS)}"
         )
-    if threads < 1:
-        raise ValueError("threads must be at least 1")
-    alphas = tuple(Fraction(a) for a in alphas)
-    fixture_list = tuple(fixtures) if fixtures is not None \
-        else battery(seed, random_count)
+    if random_count < 0:
+        raise ValueError("random_count must be nonnegative")
+    fixtures = battery(seed, random_count)
     params = (
         ("seed", str(seed)),
-        ("fixtures", str(len(fixture_list))),
-        ("alphas", ",".join(str(a) for a in alphas)),
-        ("kappas", ",".join(kappa_tags)),
+        ("fixtures", str(len(fixtures))),
+        ("alphas", ",".join(str(a) for a in DEFAULT_ALPHAS)),
+        ("kappas", ",".join(DEFAULT_KAPPA_TAGS)),
     )
-    if suite_id == "all":
-        outcomes: list[ClauseOutcome] = []
-        for sub in SUITE_IDS[:-1]:
-            res = run_theorem_suite(
-                sub, seed=seed, random_count=random_count, alphas=alphas,
-                kappa_tags=kappa_tags, threads=threads,
-                max_counterexamples=max_counterexamples,
-                fixtures=fixture_list)
-            for o in res.outcomes:
-                outcomes.append(ClauseOutcome(
-                    f"{sub}:{o.clause}", o.holds, o.checked,
-                    o.counterexamples, o.gates, o.note))
-        return SuiteResult("all", tuple(outcomes), params)
-
-    kappas = tuple((tag, _kappa_from_tag(tag)) for tag in kappa_tags)
-    evals = _run_checks(suite_id, fixture_list, kappas, alphas)
-    return SuiteResult(suite_id, _merge(evals, max_counterexamples), params)
+    if suite_id != "all":
+        return SuiteResult(suite_id, _merge(_run_checks(suite_id, fixtures)),
+                           params)
+    outcomes = tuple(replace(o, clause=f"{sub}:{o.clause}")
+                     for sub in SUITE_IDS[:-1]
+                     for o in _merge(_run_checks(sub, fixtures)))
+    return SuiteResult("all", outcomes, params)
 
 
 def counterexample_to_json(ce: Counterexample) -> dict:
@@ -1049,30 +1033,6 @@ def suite_result_to_json(result: SuiteResult) -> dict:
                                     for ce in o.counterexamples],
             }
             for o in result.outcomes
-        ],
-    }
-
-
-def diff_report_to_json(report: DiffReport) -> dict:
-    return {
-        "tables": [
-            {
-                "table": t.table_id,
-                "columns": [
-                    {
-                        "column": c.column,
-                        "matched": c.matched,
-                        "total": c.total,
-                        "mismatches": [
-                            {"row": m.row, "engine": list(m.engine),
-                             "reference": list(m.reference)}
-                            for m in c.mismatches
-                        ],
-                    }
-                    for c in t.columns
-                ],
-            }
-            for t in report.tables
         ],
     }
 

@@ -355,12 +355,11 @@ def test_criterion_09_parthood_routes_and_witness():
 
 def test_criterion_10_byte_determinism(tmp_path, capsys):
     paths = [tmp_path / f"run{i}.json" for i in range(3)]
-    flags = [["--threads", "1"], ["--threads", "1"], ["--threads", "4"]]
     start = time.perf_counter()
-    for path, extra in zip(paths, flags):
+    for path in paths:
         code = main(["verify", "--suite", "all", "--seed", "3",
                      "--random-count", "12", "--format", "json",
-                     "--out", str(path)] + extra)
+                     "--out", str(path)])
         assert code == 0
     elapsed = time.perf_counter() - start
     capsys.readouterr()
@@ -368,5 +367,5 @@ def test_criterion_10_byte_determinism(tmp_path, capsys):
     assert blobs[0] == blobs[1] == blobs[2]
     payload = json.loads(blobs[0].decode("utf-8"))
     assert payload["mismatches"] == []
-    _announce(f"criterion 10: PASS - three runs, two thread counts, one "
+    _announce(f"criterion 10: PASS - three runs, one "
               f"byte-identical report ({elapsed:.1f}s)")

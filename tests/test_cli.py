@@ -394,15 +394,24 @@ def test_verify_matches_manifest_and_notes_witnesses(capsys):
 def test_verify_writes_deterministic_files(tmp_path, capsys):
     first = tmp_path / "one.json"
     second = tmp_path / "two.json"
-    for path, threads in ((first, "1"), (second, "3")):
+    for path in (first, second):
         code, out, _ = run(capsys, "verify", "--suite", "parthood",
-                           "--random-count", "2", "--threads", threads,
+                           "--random-count", "2",
                            "--format", "json", "--out", str(path))
         assert code == 0 and out == ""
     assert first.read_bytes() == second.read_bytes()
     payload = json.loads(first.read_text(encoding="utf-8"))
     assert payload["mismatches"] == []
     assert payload["result"]["suite"] == "parthood"
+
+
+def test_verify_refuses_the_removed_threads_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--threads", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --threads 1" in err
+    assert "Traceback" not in err
 
 
 def test_verify_flags_manifest_disagreements(capsys, monkeypatch):
@@ -425,3 +434,33 @@ def test_axioms_delta_validation(tmp_path, capsys):
     code, _, err = run(capsys, "axioms", "--spec", spec)
     assert code == 2
     assert err == "error: threshold must lie in [0, 1] at /delta\n"
+
+
+def test_alpha_must_be_exact(tmp_path, capsys):
+    """A JSON float holds only the nearest binary value of 1/5, which
+    moves s9 and s0u pairs across the threshold, so it is refused."""
+    base = {"universe": ["a", "b", "c", "d", "e"],
+            "granules": [["a"], ["a", "b", "c", "d", "e"], ["b", "c"]],
+            "kappa": "K0", "tags": ["s9", "s0u"]}
+    code, out, _ = run(capsys, "parthood", "--format", "json", "--spec",
+                       write_spec(tmp_path, {**base, "alpha": "1/5"}))
+    assert code == 0
+    assert [r["pairs"] for r in json.loads(out)["relations"]] == [633, 813]
+    for bad in (0.2, True, None):
+        spec = write_spec(tmp_path, {**base, "alpha": bad}, "bad.json")
+        code, _, err = run(capsys, "parthood", "--spec", spec)
+        assert code == 2
+        assert err == "error: expected a fraction string at /alpha\n"
+
+
+def test_delta_must_be_exact(tmp_path, capsys):
+    base = {"universe": ["e1", "e2"], "axioms": ["RV"]}
+    for good in ("1/2", 1):
+        spec = write_spec(tmp_path, {**base, "delta": good})
+        code, _, _ = run(capsys, "axioms", "--spec", spec)
+        assert code == 0
+    for bad in (0.5, False, "half"):
+        spec = write_spec(tmp_path, {**base, "delta": bad})
+        code, _, err = run(capsys, "axioms", "--spec", spec)
+        assert code == 2
+        assert err == "error: expected a fraction string at /delta\n"

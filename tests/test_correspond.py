@@ -3,16 +3,20 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from roughpart import (
     build_lower_correspondence,
     build_upper_correspondence,
     check_nonrepresentability,
     graded_lower,
+    kappa_k0,
     lower_threshold,
     upper_threshold,
     vprs_star_lower,
+    vprs_star_upper,
 )
+from conftest import precisions, small_fixtures
 
 ALPHAS = (Fraction(1, 5), Fraction(3, 10), Fraction(2, 5))
 
@@ -58,6 +62,34 @@ def test_lower_partition_verifies_both_routes(std, alpha):
     assert sum(len(b.members) for b in part.blocks) == 16
     for x in std.universe.subsets():
         assert part.block_of(x).threshold == lower_threshold(x, alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_fixtures(), precisions)
+def test_partitions_agree_with_a_direct_count(fixture, alpha):
+    """On random granulations, each side's blocks partition the powerset
+    by threshold, and the starred K0 image of every subset is the union
+    of the granules sharing at least the threshold's count of members,
+    counted here over member names."""
+    u, g, _ = fixture
+    for build, threshold, star in (
+            (build_upper_correspondence, upper_threshold, vprs_star_upper),
+            (build_lower_correspondence, lower_threshold, vprs_star_lower)):
+        part = build(u, g, alpha)
+        assert part.all_verified
+        masks = sorted(x.mask for b in part.blocks for x in b.members)
+        assert masks == list(range(u.full_mask + 1))
+        for block in part.blocks:
+            for x in block.members:
+                assert threshold(x, alpha) == block.threshold
+        for x in u.subsets():
+            need = threshold(x, alpha)
+            want = set()
+            for granule in g:
+                if len(set(granule.members) & set(x.members)) >= need:
+                    want |= set(granule.members)
+            got = star(x, g, kappa_k0(), alpha)
+            assert set(got.members) == want
 
 
 def test_lower_note_counts_deficit_agreement(std):

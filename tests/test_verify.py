@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import random
 
 import pytest
@@ -23,6 +24,7 @@ from roughpart import (
     suite_result_to_json,
 )
 from roughpart import approx, parthood
+from roughpart.cli import main
 
 
 def _mismatch_rows(report, table_id, column):
@@ -141,10 +143,9 @@ def test_comparison_flags_flips_aliens_and_gaps():
         "produced no verdict",)
 
 
-def test_threading_does_not_change_the_result():
-    serial = run_theorem_suite("vprs-star", random_count=4)
-    threaded = run_theorem_suite("vprs-star", random_count=4, threads=3)
-    assert suite_result_to_json(serial) == suite_result_to_json(threaded)
+def test_suite_entry_takes_a_suite_a_seed_and_a_count():
+    params = inspect.signature(run_theorem_suite).parameters
+    assert list(params) == ["suite_id", "seed", "random_count"]
 
 
 def test_umbrella_suite_prefixes_clause_names():
@@ -155,11 +156,17 @@ def test_umbrella_suite_prefixes_clause_names():
     assert compare_with_expected([result]) == ()
 
 
-def test_suite_json_shape_and_validation():
+def test_suite_json_shape_and_validation(capsys):
     with pytest.raises(ValueError, match="valid identifiers"):
         run_theorem_suite("vprs")
-    with pytest.raises(ValueError):
-        run_theorem_suite("ri-cap", threads=0)
+    with pytest.raises(ValueError, match="random_count"):
+        run_theorem_suite("ri-cap", random_count=-3)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--random-count", "-3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "expected a nonnegative integer" in err
+    assert "Traceback" not in err
     result = run_theorem_suite("ri-cap", random_count=1)
     payload = suite_result_to_json(result)
     assert payload["suite"] == "ri-cap"
