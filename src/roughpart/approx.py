@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .core import ESet, Granulation, Universe
+from .core import ESet, Granulation, Universe, _exact
 from .inclusion import InclusionFn, kappa_k0
 
 HALF = Fraction(1, 2)
@@ -41,7 +41,7 @@ NeighborhoodMap = Sequence[tuple[str, ESet]]
 
 def require_alpha(alpha: Fraction | int | str) -> Fraction:
     """Validate a precision value: exact, in [0, 1/2)."""
-    a = Fraction(alpha)
+    a = _exact(alpha)
     if not 0 <= a < HALF:
         raise ValueError("alpha must lie in [0, 1/2)")
     return a

@@ -33,6 +33,7 @@ from .core import (
     NEIGHBORHOOD_MODES,
     RelationSpec,
     Universe,
+    _exact,
     build_neighborhood_granulation,
     neighborhood_map,
 )
@@ -206,23 +207,20 @@ def _get_kappa(spec: dict):
         _fail("expected a measure tag string", "/kappa")
     try:
         return _kappa_from_tag(tag)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise SpecError(str(exc), "/kappa") from exc
 
 
 def _fraction(value: object, pointer: str) -> Fraction:
-    """An exact threshold: a fraction string or an integer, not a float."""
-    if isinstance(value, (str, int)) and not isinstance(value, bool):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
-    raise SpecError("expected a fraction string", pointer)
+    try:
+        return _exact(value)
+    except ValueError as exc:
+        raise SpecError(str(exc), pointer) from exc
 
 
 def _get_alpha(spec: dict) -> Fraction:
     try:
-        return require_alpha(_fraction(spec.get("alpha", "0"), "/alpha"))
+        return require_alpha(spec.get("alpha", "0"))
     except ValueError as exc:
         raise SpecError(str(exc), "/alpha") from exc
 
@@ -367,7 +365,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
             "witness": witness,
             "note": note,
         })
-    # The class tags read RV over the default sweep, not at a pinned delta.
+    # The class tags read RV over every threshold, not at a pinned delta.
     verdicts = {r.name: r.holds for r in reports
                 if r.name != "RV" or delta is None}
 

@@ -18,7 +18,9 @@ returning one :class:`CheckReport` per axiom.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 EXHAUSTIVE_CAP = 24
@@ -41,6 +43,19 @@ def _check_cap(size: int, cap: int, what: str) -> None:
     if size > cap:
         raise CapExceeded(
             f"{what} over a universe of size {size} exceeds the cap of {cap}")
+
+
+def _exact(value: object) -> Fraction:
+    """A threshold as an exact fraction: a ``Fraction``, an ``int`` or a
+    fraction string. A float holds only the nearest binary value of a
+    decimal such as 0.2, so it is refused, and so is a ``bool``."""
+    if isinstance(value, (Fraction, int, str)) and \
+            not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError("expected a fraction string")
 
 
 @dataclass(frozen=True)
@@ -341,6 +356,17 @@ def image_table(universe: Universe, op: Operator) -> list[int]:
 
 _MAX_WITNESSES = 3
 
+
+def _sweep_report(name: str, failures: Iterable[Witness], size: int,
+                  parameters: tuple[tuple[str, str], ...] = ()
+                  ) -> CheckReport:
+    """The report of a sweep: it holds when ``failures`` yields nothing,
+    and keeps the first witnesses in sweep order. A lazy ``failures``
+    stops at the cap."""
+    witnesses = tuple(itertools.islice(failures, _MAX_WITNESSES))
+    return CheckReport(name, not witnesses, witnesses, size, parameters)
+
+
 # Axioms that only restate inclusion, union and intersection on bitmasks.
 _LATTICE_AXIOMS = ("PT1", "PT2", "G1", "G2", "G3", "G4", "G5")
 
@@ -363,27 +389,22 @@ def check_ggs_axioms(universe: Universe, granulation: Granulation,
     n = universe.full_mask
     masks = range(n + 1)
 
-    def report(name: str, failures: list[Witness]) -> CheckReport:
-        return CheckReport(name=name, holds=not failures,
-                           witnesses=tuple(failures[:_MAX_WITNESSES]),
-                           universe_size=universe.size)
-
     def w(**kw: int) -> Witness:
         return tuple(binding(k, ESet(universe, m)) for k, m in kw.items())
 
-    reports = [report(name, []) for name in _LATTICE_AXIOMS]
-    reports.append(report("UL1", [
+    sweeps = [(name, ()) for name in _LATTICE_AXIOMS]
+    sweeps.append(("UL1", (
         w(a=a) for a in masks
-        if lo[a] & ~a or lo[lo[a]] != lo[a] or up[a] & ~up[up[a]]]))
-    reports.append(report("UL2", [
+        if lo[a] & ~a or lo[lo[a]] != lo[a] or up[a] & ~up[up[a]])))
+    sweeps.append(("UL2", (
         w(a=a, b=b) for b in masks for a in iter_submasks(b)
-        if lo[a] & ~lo[b] or up[a] & ~up[b]]))
-    fails = []
-    if lo[0] != 0 or up[0] != 0 or lo[n] & ~n or up[n] & ~n:
-        fails.append(w(bottom=0, top=n))
-    reports.append(report("UL3", fails))
-    reports.append(report("TB", []))
-    return tuple(reports)
+        if lo[a] & ~lo[b] or up[a] & ~up[b])))
+    sweeps.append(("UL3", [w(bottom=0, top=n)]
+                   if lo[0] != 0 or up[0] != 0 or lo[n] & ~n or up[n] & ~n
+                   else ()))
+    sweeps.append(("TB", ()))
+    return tuple(_sweep_report(name, failures, universe.size)
+                 for name, failures in sweeps)
 
 
 def check_admissibility(universe: Universe, granulation: Granulation,
@@ -401,8 +422,7 @@ def check_admissibility(universe: Universe, granulation: Granulation,
     lo = image_table(universe, lower)
     up = image_table(universe, upper)
     gmasks = granulation.masks
-    n = universe.full_mask
-    reports: list[CheckReport] = []
+    masks = range(universe.full_mask + 1)
 
     def union_of_contained(value: int) -> int:
         out = 0
@@ -411,33 +431,21 @@ def check_admissibility(universe: Universe, granulation: Granulation,
                 out |= g
         return out
 
-    fails: list[Witness] = []
-    for a in range(n + 1):
-        for tag, v in (("lower", lo[a]), ("upper", up[a])):
-            if union_of_contained(v) != v:
-                fails.append((binding("a", ESet(universe, a)),
-                              ("operator", (tag,)),
-                              binding("value", ESet(universe, v))))
-    reports.append(CheckReport("weak-representability", not fails,
-                               tuple(fails[:_MAX_WITNESSES]), universe.size))
+    def e(name: str, mask: int) -> Binding:
+        return binding(name, ESet(universe, mask))
 
-    fails = []
-    for g in gmasks:
-        for a in range(n + 1):
-            if g & ~a == 0 and g & ~lo[a]:
-                fails.append((binding("granule", ESet(universe, g)),
-                              binding("a", ESet(universe, a))))
-    reports.append(CheckReport("lower-stability", not fails,
-                               tuple(fails[:_MAX_WITNESSES]), universe.size))
-
-    definite = [z for z in range(n + 1) if lo[z] == z and up[z] == z]
-    fails = []
-    for g in gmasks:
-        for h in gmasks:
+    definite = [z for z in masks if lo[z] == z and up[z] == z]
+    return (
+        _sweep_report("weak-representability", (
+            (e("a", a), ("operator", (tag,)), e("value", v))
+            for a in masks for tag, v in (("lower", lo[a]), ("upper", up[a]))
+            if union_of_contained(v) != v), universe.size),
+        _sweep_report("lower-stability", (
+            (e("granule", g), e("a", a)) for g in gmasks for a in masks
+            if g & ~a == 0 and g & ~lo[a]), universe.size),
+        _sweep_report("mereological-fullness", (
+            (e("granule1", g), e("granule2", h))
+            for g in gmasks for h in gmasks
             if not any(g & ~z == 0 and h & ~z == 0 and z != g and z != h
-                       for z in definite):
-                fails.append((binding("granule1", ESet(universe, g)),
-                              binding("granule2", ESet(universe, h))))
-    reports.append(CheckReport("mereological-fullness", not fails,
-                               tuple(fails[:_MAX_WITNESSES]), universe.size))
-    return tuple(reports)
+                       for z in definite)), universe.size),
+    )

@@ -22,7 +22,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .core import (
     EXHAUSTIVE_CAP,
@@ -30,6 +30,7 @@ from .core import (
     ESet,
     Universe,
     _check_cap,
+    _exact,
     binding,
     iter_submasks,
 )
@@ -153,8 +154,8 @@ def kappa_st(s: Fraction | int | str, t: Fraction | int | str,
     Values at or below ``s`` collapse to 0, values at or above ``t``
     collapse to 1, and the open band in between rescales linearly.
     """
-    s = Fraction(s)
-    t = Fraction(t)
+    s = _exact(s)
+    t = _exact(t)
     _validate_thresholds(s, t)
     inner = base if base is not None else _K0
 
@@ -229,16 +230,6 @@ def dependence_degree(a: ESet, b: ESet) -> Fraction:
     return pab - pa * pb
 
 
-def default_delta_sweep(size: int) -> tuple[Fraction, ...]:
-    """Threshold grid for swept axioms: tenths plus every fraction with a
-    denominator realizable on a universe of the given size."""
-    grid = {Fraction(i, 10) for i in range(11)}
-    for q in range(1, max(size, 1) + 1):
-        for p in range(q + 1):
-            grid.add(Fraction(p, q))
-    return tuple(sorted(grid))
-
-
 # Each entry lazily yields every failing instance of its axiom as (masks in
 # _INSTANCE_VARS order, delta or None); swept axioms loop over delta
 # outermost. The domains skip only instances whose premise fails.
@@ -306,8 +297,6 @@ _INSTANCE_VARS = {
     "RI-np": ("a", "b", "c"),
 }
 
-ProbeBinding = tuple[Mapping[str, ESet], Fraction | None]
-
 
 def _require_axiom(axiom_id: str) -> None:
     if axiom_id not in VALID_AXIOMS:
@@ -342,7 +331,7 @@ def evaluate_axiom_instance(kappa: InclusionFn, axiom_id: str,
     if axiom_id in SWEPT_AXIOMS:
         if delta is None:
             raise ValueError(f"axiom {axiom_id} needs a delta threshold")
-        delta = Fraction(delta)
+        delta = _exact(delta)
     elif delta is not None:
         raise ValueError(f"axiom {axiom_id} takes no delta threshold")
 
@@ -405,53 +394,45 @@ def evaluate_axiom_instance(kappa: InclusionFn, axiom_id: str,
 
 
 def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
-                delta: Fraction | None = None, max_witnesses: int = 3,
-                probe_bindings: Sequence[ProbeBinding] = ()) -> CheckReport:
+                delta: Fraction | None = None,
+                max_witnesses: int = 3) -> CheckReport:
     """Exhaustively test one axiom for ``kappa`` over a finite universe.
 
     Swept axioms (RV, RI, RI-np) quantify over a threshold as well: pass
-    ``delta`` to pin it, or leave it None to sweep
-    :func:`default_delta_sweep`. ``probe_bindings`` are candidate
-    refutations evaluated before the sweep; when a probe already falsifies
-    the axiom the sweep is skipped, which keeps reproducing a known
-    counterexample cheap on larger universes.
+    ``delta`` to pin it, or leave it None to decide every threshold. An
+    instance that fails at some threshold also fails at one of the
+    measure's own values: at val(b, c) for RV, and at the smaller of
+    val(a, c) and val(b, c) for RI and RI-np. So the sweep runs over the
+    distinct values on the pairs those instances read, in ascending order:
+    (x, c) with c inside x for RV and RI, and every pair for RI-np.
     """
     _require_axiom(axiom_id)
     if max_witnesses < 1:
         raise ValueError("max_witnesses must be at least 1")
     if axiom_id in SWEPT_AXIOMS:
-        deltas = (Fraction(delta),) if delta is not None \
-            else default_delta_sweep(universe.size)
-    else:
         if delta is not None:
-            raise ValueError(f"axiom {axiom_id} takes no delta threshold")
-        deltas = ()
-
-    names = _INSTANCE_VARS[axiom_id]
-    probe_failures = []
-    for bmap, d in probe_bindings:
-        if axiom_id in SWEPT_AXIOMS and d is None:
-            raise ValueError("probe bindings for a swept axiom need a delta")
-        if not evaluate_axiom_instance(kappa, axiom_id, bmap, delta=d):
-            probe_failures.append(([bmap[k] for k in names], d))
-
+            delta = _exact(delta)
+    elif delta is not None:
+        raise ValueError(f"axiom {axiom_id} takes no delta threshold")
+    _check_cap(universe.size, EXHAUSTIVE_CAP, f"the {axiom_id} sweep")
+    val = functools.cache(functools.partial(kappa.on_masks, universe))
+    masks = range(universe.full_mask + 1)
     params = [("kappa", kappa.describe())]
-    if axiom_id in SWEPT_AXIOMS:
-        params.append(("delta", str(deltas[0]) if delta is not None
-                       else f"sweep[{len(deltas)}]"))
-    if probe_failures:
-        params.append(("sweep", "skipped: probe witnesses decide"))
-        failures = probe_failures
+    if delta is not None:
+        deltas = (delta,)
+        params.append(("delta", str(delta)))
+    elif axiom_id in SWEPT_AXIOMS:
+        deltas = tuple(sorted({val(x, c) for x in masks for c in (
+            masks if axiom_id == "RI-np" else iter_submasks(x))}))
+        params.append(("delta", f"sweep[{len(deltas)}]"))
     else:
-        _check_cap(universe.size, EXHAUSTIVE_CAP, f"the {axiom_id} sweep")
-        val = functools.cache(functools.partial(kappa.on_masks, universe))
-        failures = (
-            ([ESet(universe, m) for m in ms], d) for ms, d in
-            _FAILURES[axiom_id](val, range(universe.full_mask + 1), deltas))
+        deltas = ()
+    names = _INSTANCE_VARS[axiom_id]
     witnesses = tuple(
-        tuple(binding(k, x) for k, x in zip(names, sets))
-        + ((("delta", (str(Fraction(d)),)),) if d is not None else ())
-        for sets, d in itertools.islice(failures, max_witnesses))
+        tuple(binding(k, ESet(universe, m)) for k, m in zip(names, ms))
+        + ((("delta", (str(d),)),) if d is not None else ())
+        for ms, d in itertools.islice(
+            _FAILURES[axiom_id](val, masks, deltas), max_witnesses))
     return CheckReport(axiom_id, not witnesses, witnesses,
                        universe.size, tuple(params))
 
@@ -462,14 +443,14 @@ def classify_rif(kappa: InclusionFn, universe: Universe) -> tuple[str, ...]:
     The graded class demands equivalence with inclusion plus unit-preimage
     monotony; the quasi class keeps the forward half only; the weak quasi
     class trades the monotony for its order form; the precision class asks
-    for the chain-stability axiom at every swept threshold.
+    for the chain-stability axiom at every threshold.
     """
     return _rif_classes(functools.cache(lambda axiom: check_axiom(
         kappa, axiom, universe, max_witnesses=1).holds))
 
 
 def _rif_classes(holds: Callable[[str], bool]) -> tuple[str, ...]:
-    """Class tags from ``holds``; RV must be the default-sweep verdict."""
+    """Class tags from ``holds``; RV must be decided at every threshold."""
     r0 = holds("R0")
     tags = []
     if r0 and holds("IR0") and holds("R2"):

@@ -27,6 +27,7 @@ ever being asserted.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -37,6 +38,7 @@ from .core import (
     Operator,
     Universe,
     _check_cap,
+    _sweep_report,
     binding,
     image_table,
     iter_submasks,
@@ -249,54 +251,36 @@ def check_rational_proposition(universe: Universe, lower: Operator,
         return ESet(universe, m)
 
     rlo = image_table(universe, rl)
-    fails = [(binding("a", ev(m)),) for m in masks if rlo[rlo[m]] != rlo[m]]
-    reports.append(CheckReport("idempotent", not fails, tuple(fails[:3]),
-                               universe.size, gate))
-
-    fails = [(binding("a", ev(m)),) for m in masks if rlo[m] & ~lo[m]]
-    reports.append(CheckReport("lower-compatible", not fails,
-                               tuple(fails[:3]), universe.size, gate))
-
-    fails = []
-    for b in masks:
-        for a in iter_submasks(b):
-            if not ps(ev(rlo[a]), ev(rlo[b])):
-                fails.append((binding("a", ev(a)), binding("b", ev(b))))
-                break
-        if fails:
-            break
-    reports.append(CheckReport("s-monotone", not fails, tuple(fails[:3]),
-                               universe.size, gate))
-
-    fails = [(binding("a", ev(m)),) for m in masks
-             if not ps(ev(rlo[m]), ev(lo[m]))]
-    reports.append(CheckReport(
-        "lower-compatible-open", not fails, tuple(fails[:3]), universe.size,
-        gate + (("status", "open question; reported, not asserted"),)))
+    size = universe.size
+    status = (("status", "open question; reported, not asserted"),)
+    reports += [
+        _sweep_report("idempotent", ((binding("a", ev(m)),) for m in masks
+                                     if rlo[rlo[m]] != rlo[m]), size, gate),
+        _sweep_report("lower-compatible", ((binding("a", ev(m)),)
+                                           for m in masks if rlo[m] & ~lo[m]),
+                      size, gate),
+        # The verify report and its golden file record one witness here.
+        _sweep_report("s-monotone", itertools.islice((
+            (binding("a", ev(a)), binding("b", ev(b)))
+            for b in masks for a in iter_submasks(b)
+            if not ps(ev(rlo[a]), ev(rlo[b]))), 1), size, gate),
+        _sweep_report("lower-compatible-open", (
+            (binding("a", ev(m)),) for m in masks
+            if not ps(ev(rlo[m]), ev(lo[m]))), size, gate + status),
+    ]
 
     if upper is not None:
         up = image_table(universe, upper)
-        defined = 0
-        fails = []
-        open_fails = []
-        for m in masks:
-            x = ev(m)
-            res = _upper_search(x, up, definites, ps)
-            if not res.defined:
-                continue
-            defined += 1
-            assert res.value is not None
-            if res.value.mask & ~up[m]:
-                fails.append((binding("a", x),))
-            if not ps(res.value, ev(up[m])):
-                open_fails.append((binding("a", x),))
-        coverage = (("defined-points", f"{defined}/{full + 1}"),)
-        reports.append(CheckReport("upper-compatible", not fails,
-                                   tuple(fails[:3]), universe.size,
-                                   gate + coverage))
-        reports.append(CheckReport(
-            "upper-compatible-open", not open_fails, tuple(open_fails[:3]),
-            universe.size,
-            gate + coverage
-            + (("status", "open question; reported, not asserted"),)))
+        values = [(m, res.value.mask) for m in masks
+                  for res in [_upper_search(ev(m), up, definites, ps)]
+                  if res.value is not None]
+        coverage = (("defined-points", f"{len(values)}/{full + 1}"),)
+        reports += [
+            _sweep_report("upper-compatible", (
+                (binding("a", ev(m)),) for m, v in values if v & ~up[m]),
+                size, gate + coverage),
+            _sweep_report("upper-compatible-open", (
+                (binding("a", ev(m)),) for m, v in values
+                if not ps(ev(v), ev(up[m]))), size, gate + coverage + status),
+        ]
     return tuple(reports)

@@ -50,6 +50,7 @@ from .inclusion import (
     check_prif_implications,
     classify_rif,
     eval_bgrif,
+    evaluate_axiom_instance,
     kappa_k0,
     kappa_k1,
     kappa_k2,
@@ -283,7 +284,7 @@ class _Eval:
 
     clause: str
     checked: int
-    ces: Sequence[Counterexample] = ()
+    ces: Iterable[Counterexample] = ()
     gates: tuple[tuple[str, str], ...] = ()
     note: str = ""
     ok: bool | None = None
@@ -308,7 +309,7 @@ def _kappa_from_tag(tag: str) -> InclusionFn:
     if tag.startswith("Kst(") and tag.endswith(")"):
         parts = tag[4:-1].split(",")
         if len(parts) == 2:
-            return kappa_st(Fraction(parts[0]), Fraction(parts[1]))
+            return kappa_st(parts[0], parts[1])
     raise ValueError(
         f"unknown measure tag {tag!r}; valid tags: K0, K1, K2, Kst(s,t)")
 
@@ -324,51 +325,35 @@ def _ri_gate(ktag: str, size: int, delta: Fraction) -> bool:
                        delta=delta, max_witnesses=1).holds
 
 
-# A clause sweep's checked count and its first five failing bindings.
-_Sweep = tuple[int, list[dict[str, int]]]
+# A clause sweep's checked count and its failing bindings, lazily.
+_Sweep = tuple[int, Iterator[dict[str, int]]]
 
 
 def _lower_cmo(lo: Sequence[int], full: int) -> _Sweep:
     """Cautious monotony of a lower table: ``lo[a] <= b <= a`` keeps
     ``lo[a]`` inside ``lo[b]``."""
-    checked = 0
-    fails: list[dict[str, int]] = []
-    for a in range(full + 1):
-        base = lo[a]
-        if base & ~a == 0:
-            for s in iter_submasks(a & ~base):
-                b = base | s
-                checked += 1
-                if base & ~lo[b] and len(fails) < 5:
-                    fails.append({"a": a, "b": b})
-    return checked, fails
+    roots = [a for a in range(full + 1) if lo[a] & ~a == 0]
+    return sum(1 << (a & ~lo[a]).bit_count() for a in roots), (
+        {"a": a, "b": b} for a in roots
+        for b in (lo[a] | s for s in iter_submasks(a & ~lo[a]))
+        if lo[a] & ~lo[b])
 
 
 def _upper_cmo(up: Sequence[int], full: int) -> _Sweep:
     """Cautious monotony of an upper table: ``a <= b <= up[a]`` keeps
     ``up[a]`` inside ``up[b]``."""
-    checked = 0
-    fails: list[dict[str, int]] = []
-    for a in range(full + 1):
-        if a & ~up[a] == 0:
-            for s in iter_submasks(up[a] & ~a):
-                b = a | s
-                checked += 1
-                if up[a] & ~up[b] and len(fails) < 5:
-                    fails.append({"a": a, "b": b})
-    return checked, fails
+    roots = [a for a in range(full + 1) if a & ~up[a] == 0]
+    return sum(1 << (up[a] & ~a).bit_count() for a in roots), (
+        {"a": a, "b": b} for a in roots
+        for b in (a | s for s in iter_submasks(up[a] & ~a))
+        if up[a] & ~up[b])
 
 
 def _cap_closure(lo: Sequence[int], full: int) -> _Sweep:
     """``lo[a] & lo[b]`` inside ``lo[a & b]`` for every unordered pair."""
-    checked = 0
-    fails: list[dict[str, int]] = []
-    for a in range(full + 1):
-        for b in range(a, full + 1):
-            checked += 1
-            if lo[a] & lo[b] & ~lo[a & b] and len(fails) < 5:
-                fails.append({"a": a, "b": b})
-    return checked, fails
+    return (full + 1) * (full + 2) // 2, (
+        {"a": a, "b": b} for a in range(full + 1) for b in range(a, full + 1)
+        if lo[a] & lo[b] & ~lo[a & b])
 
 
 def _vprs_check(suite_id: str, fixture: Fixture, ktag: str,
@@ -380,8 +365,7 @@ def _vprs_check(suite_id: str, fixture: Fixture, ktag: str,
     slo, sup = tables.star_lower, tables.star_upper
 
     def each(bad: Callable[[int], int]) -> _Sweep:
-        return full + 1, [{"a": x} for x in range(full + 1)
-                          if bad(x)][:5]
+        return full + 1, ({"a": x} for x in range(full + 1) if bad(x))
 
     if suite_id == "vprs-alpha":
         sweeps = {
@@ -411,117 +395,93 @@ def _vprs_check(suite_id: str, fixture: Fixture, ktag: str,
         gate = ((f"class[{ktag},n={universe.size}]",
                  ",".join(_class_tags(ktag, universe.size)) or "none"),)
     return [_Eval(clause, checked,
-                  [Counterexample(fixture.name, kap.describe(),
+                  (Counterexample(fixture.name, kap.describe(),
                                   str(alpha), _wit(universe, **masks))
-                   for masks in fails], gate)
+                   for masks in fails), gate)
             for clause, (checked, fails) in sweeps.items()]
+
+
+_FORMS = ("ll", "lu", "ul", "uu")
 
 
 def _grif_check(fixture: Fixture) -> list[_Eval]:
     universe = fixture.universe
     g = fixture.granulation
     full = universe.full_mask
+    masks = range(full + 1)
+    sets = [ESet(universe, m) for m in masks]
     lo_op = lambda s: classical_lower(s, g)
     up_op = lambda s: classical_upper(s, g)
     cl = image_table(universe, lo_op)
     cu = image_table(universe, up_op)
     img = {"l": cl, "u": cu}
-    clauses = ("ulu2", "llu2", "mo", "refl", "bot", "top",
-               "route-agreement")
-    ces: dict[str, list[Counterexample]] = {c: [] for c in clauses}
-    checked = dict.fromkeys(clauses, 0)
 
-    def ce(clause: str, extra: tuple[Binding, ...] = (),
-           **masks: int) -> None:
-        if len(ces[clause]) < 5:
-            ces[clause].append(Counterexample(
-                fixture.name, "nu", "", _wit(universe, **masks) + extra))
+    def ce(extra: tuple[Binding, ...] = (), **named: int) -> Counterexample:
+        return Counterexample(fixture.name, "nu", "",
+                              _wit(universe, **named) + extra)
 
-    # Shared-denominator comparisons reduce to numerator counts.
-    for a in range(full + 1):
-        for b in range(full + 1):
-            checked["ulu2"] += 1
-            if (cu[a] & cl[b]).bit_count() > (cu[a] & cu[b]).bit_count():
-                ce("ulu2", a=a, b=b)
-            checked["llu2"] += 1
-            if (cl[a] & cl[b]).bit_count() > (cl[a] & cu[b]).bit_count():
-                ce("llu2", a=a, b=b)
-    # Monotony in the second argument follows from image monotony
-    # because the denominator only sees the first argument.
-    for side in ("l", "u"):
-        arr = img[side]
-        for e in range(full + 1):
-            for b in iter_submasks(e):
-                checked["mo"] += 1
-                if arr[b] & ~arr[e]:
-                    ce("mo", b=b, e=e,
-                       extra=(("side", (side,)),))
-    # The light clauses go through the public evaluation route.
-    empty = universe.empty
-    top_set = universe.full
+    def bg(a: int, b: int, sigma: str, pi: str) -> Fraction:
+        return eval_bgrif(sets[a], sets[b], sigma, pi, lo_op, up_op)
+
+    def via(a: int, b: int, sigma: str, pi: str) -> Fraction:
+        fa, fb = img[sigma][a], img[pi][b]
+        return Fraction(1) if fa == 0 else \
+            Fraction((fa & fb).bit_count(), fa.bit_count())
+
     top_definite = cl[full] == full and cu[full] == full
-    for m in range(full + 1):
-        x = ESet(universe, m)
-        checked["refl"] += 1
-        if (eval_bgrif(x, x, "l", "l", lo_op, up_op) != 1
-                or eval_bgrif(x, x, "u", "u", lo_op, up_op) != 1
-                or eval_bgrif(x, x, "l", "u", lo_op, up_op) > 1):
-            ce("refl", a=m)
-        for sigma in ("l", "u"):
-            for pi in ("l", "u"):
-                checked["bot"] += 1
-                if eval_bgrif(empty, x, sigma, pi, lo_op, up_op) != 1:
-                    ce("bot", b=m, extra=(("form", (sigma + pi,)),))
-                if top_definite:
-                    checked["top"] += 1
-                    if eval_bgrif(x, top_set, sigma, pi,
-                                  lo_op, up_op) != 1:
-                        ce("top", a=m, extra=(("form", (sigma + pi,)),))
-    # Cross-check the mask arrays against the public route on a
-    # deterministic sample of pairs.
     sample = range(min(full + 1, 16))
-    for a in sample:
-        for b in sample:
-            for sigma in ("l", "u"):
-                for pi in ("l", "u"):
-                    checked["route-agreement"] += 1
-                    direct = eval_bgrif(ESet(universe, a),
-                                        ESet(universe, b),
-                                        sigma, pi, lo_op, up_op)
-                    fa = img[sigma][a]
-                    fb = img[pi][b]
-                    via = Fraction(1) if fa == 0 else \
-                        Fraction((fa & fb).bit_count(), fa.bit_count())
-                    if direct != via:
-                        ce("route-agreement", a=a, b=b,
-                           extra=(("form", (sigma + pi,)),))
+    sweeps = {
+        # Shared-denominator comparisons reduce to numerator counts.
+        "ulu2": (len(masks) ** 2, (
+            ce(a=a, b=b) for a in masks for b in masks
+            if (cu[a] & cl[b]).bit_count() > (cu[a] & cu[b]).bit_count())),
+        "llu2": (len(masks) ** 2, (
+            ce(a=a, b=b) for a in masks for b in masks
+            if (cl[a] & cl[b]).bit_count() > (cl[a] & cu[b]).bit_count())),
+        # Monotony in the second argument follows from image monotony
+        # because the denominator only sees the first argument.
+        "mo": (2 * 3 ** universe.size, (
+            ce(b=b, e=e, extra=(("side", (side,)),)) for side in "lu"
+            for e in masks for b in iter_submasks(e)
+            if img[side][b] & ~img[side][e])),
+        # The light clauses go through the public evaluation route.
+        "refl": (len(masks), (
+            ce(a=m) for m in masks
+            if bg(m, m, "l", "l") != 1 or bg(m, m, "u", "u") != 1
+            or bg(m, m, "l", "u") > 1)),
+        "bot": (4 * len(masks), (
+            ce(b=m, extra=(("form", (form,)),)) for m in masks
+            for form in _FORMS if bg(0, m, *form) != 1)),
+        "top": (4 * len(masks), (
+            ce(a=m, extra=(("form", (form,)),)) for m in masks
+            for form in _FORMS if bg(m, full, *form) != 1))
+        if top_definite else (0, ()),
+        # Cross-check the mask arrays against the public route on a
+        # deterministic sample of pairs.
+        "route-agreement": (4 * len(sample) ** 2, (
+            ce(a=a, b=b, extra=(("form", (form,)),))
+            for a in sample for b in sample for form in _FORMS
+            if bg(a, b, *form) != via(a, b, *form))),
+    }
     gate = (("top-definite", "yes" if top_definite else
              "no: top clause skipped"),)
-    return [_Eval(c, checked[c], ces[c], gate if c == "top" else ())
-            for c in clauses]
+    return [_Eval(c, checked, ces, gate if c == "top" else ())
+            for c, (checked, ces) in sweeps.items()]
 
 
 def _rif_axioms_check() -> list[_Eval]:
     k0 = kappa_k0()
     evals: list[_Eval] = []
     for name, axiom in (("k0-rv-sweep", "RV"), ("k0-ri-sweep", "RI")):
-        ces: list[Counterexample] = []
-        checked = 0
-        for n in range(1, 7):
-            rep = check_axiom(k0, axiom, _universe_of(n))
-            checked += 1
-            if not rep.holds:
-                for w in rep.witnesses:
-                    ces.append(Counterexample(f"u{n}", "K0", "", w))
-        evals.append(_Eval(name, checked, ces))
+        evals.append(_Eval(name, 6, [
+            Counterexample(f"u{n}", "K0", "", w) for n in range(1, 7)
+            for w in check_axiom(k0, axiom, _universe_of(n)).witnesses]))
 
     u = Universe.of(("1", "2", "3", "5", "6", "7", "8", "9"))
-    probe = ({"a": u.subset(("1", "2", "3", "6")),
-              "b": u.subset(("3", "5", "7", "8", "9")),
-              "c": u.subset(("2", "5", "6"))}, Fraction(1, 5))
-    rep = check_axiom(k0, "RI-np", u, probe_bindings=(probe,),
-                      max_witnesses=1)
-    reproduced = not rep.holds and len(rep.witnesses) == 1
+    reproduced = not evaluate_axiom_instance(k0, "RI-np", {
+        "a": u.subset(("1", "2", "3", "6")),
+        "b": u.subset(("3", "5", "7", "8", "9")),
+        "c": u.subset(("2", "5", "6"))}, delta=Fraction(1, 5))
     evals.append(_Eval(
         "ri-np-counterexample", 1, [], (),
         "reproduced at threshold 1/5" if reproduced
@@ -562,12 +522,11 @@ def _prif_check(ktag: str, size: int) -> list[_Eval]:
 
 
 def _row_diff(first: Sequence[int], second: Sequence[int]
-              ) -> list[tuple[int, int]]:
-    """The first five mask pairs, in sorted order, held by exactly one of
-    two relations given as bitset rows."""
-    diff = ((am, bm) for am, (x, y) in enumerate(zip(first, second))
+              ) -> Iterator[tuple[int, int]]:
+    """The mask pairs, in sorted order, held by exactly one of two
+    relations given as bitset rows."""
+    return ((am, bm) for am, (x, y) in enumerate(zip(first, second))
             for bm in iter_bits(x ^ y))
-    return list(itertools.islice(diff, 5))
 
 
 def _s5_s7_check(fixture: Fixture, kap: InclusionFn,
@@ -576,13 +535,12 @@ def _s5_s7_check(fixture: Fixture, kap: InclusionFn,
     g = fixture.granulation
     r5 = build_parthood("s5", universe, g, kappa=kap, alpha=alpha)
     r7 = build_parthood("s7", universe, g, kappa=kap, alpha=alpha)
-    ces: list[Counterexample] = []
-    for am, bm in _row_diff(r5.rows, r7.rows):
-        where = "first-route-only" if r5.rows[am] >> bm & 1 \
-            else "second-route-only"
-        ces.append(Counterexample(
-            fixture.name, kap.describe(), str(alpha),
-            _wit(universe, a=am, b=bm) + (("route", (where,)),)))
+    ces = (Counterexample(
+        fixture.name, kap.describe(), str(alpha),
+        _wit(universe, a=am, b=bm) + (("route", (
+            "first-route-only" if r5.rows[am] >> bm & 1
+            else "second-route-only",)),))
+        for am, bm in _row_diff(r5.rows, r7.rows))
     return [_Eval("s5-equals-s7", (universe.full_mask + 1) ** 2, ces)]
 
 
@@ -607,9 +565,9 @@ def _s0u_from_pu_check(fixture: Fixture, kap: InclusionFn,
     rpu = build_parthood("pu", universe, g, kappa=kap, alpha=alpha)
     derived = [row & cut for row, cut in
                zip(rpu.rows, _floor_rows(universe, kap, alpha))]
-    ces = [Counterexample(fixture.name, kap.describe(), str(alpha),
+    ces = (Counterexample(fixture.name, kap.describe(), str(alpha),
                           _wit(universe, a=am, b=bm))
-           for am, bm in _row_diff(r0u.rows, derived)]
+           for am, bm in _row_diff(r0u.rows, derived))
     return [_Eval("s0u-from-pu", (universe.full_mask + 1) ** 2, ces)]
 
 
@@ -618,10 +576,9 @@ def _parthood_grade_check(fixture: Fixture, k: int) -> list[_Eval]:
     g = fixture.granulation
     r3 = build_parthood("s3", universe, g, k=k)
     r6 = build_parthood("s6", universe, g, k=k)
-    ces: list[Counterexample] = []
-    for am, bm in _row_diff(r3.rows, r6.rows):
-        ces.append(Counterexample(fixture.name, "", f"k={k}",
-                                  _wit(universe, a=am, b=bm)))
+    ces = (Counterexample(fixture.name, "", f"k={k}",
+                          _wit(universe, a=am, b=bm))
+           for am, bm in _row_diff(r3.rows, r6.rows))
     return [_Eval("s6-equals-s3", (universe.full_mask + 1) ** 2, ces)]
 
 
@@ -636,11 +593,12 @@ def _s3_extension_check() -> list[_Eval]:
     expected = [sum(1 << bm for bm, b in enumerate(members)
                     if len(a & b) > STANDARD_GRADE and a <= b)
                 for a in members]
-    diff = _row_diff(relation.rows, expected)
-    ok = not diff and relation.size == 33
+    ok = next(_row_diff(relation.rows, expected), None) is None \
+        and relation.size == 33
     note = f"{relation.size} pairs" + ("" if ok else "; routes disagree")
-    ces = [Counterexample("standard", "", f"k={STANDARD_GRADE}",
-                          _wit(universe, a=am, b=bm)) for am, bm in diff]
+    ces = (Counterexample("standard", "", f"k={STANDARD_GRADE}",
+                          _wit(universe, a=am, b=bm))
+           for am, bm in _row_diff(relation.rows, expected))
     return [_Eval("s3-standard-extension", len(members) ** 2, ces, (),
                   note, ok)]
 
@@ -677,7 +635,7 @@ def _pu_classes_check() -> list[_Eval]:
                     if value <= v for m in c)
         for m in cls:
             derived[m.mask] = above
-    if _row_diff(result.relation.rows, derived):
+    if next(_row_diff(result.relation.rows, derived), None) is not None:
         ok = False
         notes.append("class-induced order disagrees with the relation")
     return [_Eval("pu-classes", (universe.full_mask + 1) ** 2, [], (),
@@ -782,7 +740,7 @@ def _rational_check() -> list[_Eval]:
         want = expected_points.get(m)
         assert res.value is not None
         if want is None:
-            if not res.trivial and len(ces) < 5:
+            if not res.trivial:
                 ces.append(Counterexample(
                     "standard", "K0", str(STANDARD_ALPHA),
                     _wit(universe, a=m, value=res.value.mask)))
@@ -831,13 +789,10 @@ def _correspond_check(fixture: Fixture, alpha: Fraction) -> list[_Eval]:
     for clause, build in (("upper-blocks", build_upper_correspondence),
                           ("lower-blocks", build_lower_correspondence)):
         partition = build(universe, fixture.granulation, alpha)
-        ces = []
-        for block in partition.blocks:
-            if not block.verified and len(ces) < 5:
-                ces.append(Counterexample(
-                    fixture.name, "K0", str(alpha),
-                    (("threshold", (str(block.threshold),)),
-                     binding("first-member", block.members[0]))))
+        ces = (Counterexample(fixture.name, "K0", str(alpha),
+                              (("threshold", (str(block.threshold),)),
+                               binding("first-member", block.members[0])))
+               for block in partition.blocks if not block.verified)
         evals.append(_Eval(clause, len(partition.blocks), ces))
     return evals
 
@@ -871,13 +826,9 @@ def _ggs_check() -> list[_Eval]:
             ("axioms-classical", check_ggs_axioms(universe, g, lo, up)),
             ("admissibility-classical",
              check_admissibility(universe, g, lo, up))):
-        ces = []
-        for rep in reports:
-            if not rep.holds:
-                for w in rep.witnesses[:2]:
-                    ces.append(Counterexample(
-                        "standard", "", "",
-                        w + (("axiom", (rep.name,)),)))
+        ces = (Counterexample("standard", "", "",
+                              w + (("axiom", (rep.name,)),))
+               for rep in reports for w in rep.witnesses)
         evals.append(_Eval(clause, len(reports), ces))
     return evals
 
@@ -889,15 +840,12 @@ def _table_diff_check() -> list[_Eval]:
         data = load_reference_table(table.table_id)
         alpha = str(Fraction(data["alpha"]))
         for col in table.columns:
-            ces = [
-                Counterexample(
-                    "standard", "K0", alpha,
-                    (("row", (cell.row,)),
-                     ("engine", cell.engine),
-                     ("reference", cell.reference)))
-                for cell in col.mismatches[:16]
-            ]
-            note = "" if not ces else (
+            ces = (Counterexample("standard", "K0", alpha,
+                                  (("row", (cell.row,)),
+                                   ("engine", cell.engine),
+                                   ("reference", cell.reference)))
+                   for cell in col.mismatches)
+            note = "" if not col.mismatches else (
                 f"{len(col.mismatches)} published cell(s) diverge from "
                 "the engine derivation")
             evals.append(_Eval(f"{table.table_id}.{col.column}",
@@ -962,7 +910,9 @@ def _merge(evals: Iterable[_Eval]) -> tuple[ClauseOutcome, ...]:
             "ok": True,
         })
         slot["checked"] += ev.checked
-        slot["ces"].extend(ev.ces)
+        # A full clause never starts a later check's failure generator.
+        slot["ces"] += itertools.islice(
+            ev.ces, _MAX_COUNTEREXAMPLES - len(slot["ces"]))
         slot["gates"].update(ev.gates)
         if ev.note and ev.note not in slot["notes"]:
             slot["notes"].append(ev.note)
@@ -972,7 +922,7 @@ def _merge(evals: Iterable[_Eval]) -> tuple[ClauseOutcome, ...]:
         ClauseOutcome(
             clause=clause, holds=slot["ok"] and not slot["ces"],
             checked=slot["checked"],
-            counterexamples=tuple(slot["ces"][:_MAX_COUNTEREXAMPLES]),
+            counterexamples=tuple(slot["ces"]),
             gates=tuple(sorted(slot["gates"])),
             note="; ".join(slot["notes"]))
         for clause, slot in acc.items())

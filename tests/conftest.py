@@ -10,12 +10,15 @@ from roughpart import (
     Fixture,
     Granulation,
     Universe,
+    classical_lower,
+    classical_upper,
     kappa_k0,
     kappa_k1,
     kappa_k2,
     kappa_st,
     standard_fixture,
 )
+from roughpart.core import image_table
 
 
 @pytest.fixture(scope="session")
@@ -64,3 +67,27 @@ def measures():
 
 precisions = st.fractions(0, Fraction(1, 2), max_denominator=20).filter(
     lambda a: a < Fraction(1, 2))
+
+
+@st.composite
+def operator_pairs(draw):
+    """A universe of at most four elements, a covering granulation, and a
+    lower and an upper image table indexed by mask: the granulation's
+    classical pair, or two arbitrary tables that obey no law."""
+    n = draw(st.integers(1, 4))
+    u = Universe(tuple(f"e{i}" for i in range(n)))
+    full = u.full_mask
+    masks = draw(st.lists(st.integers(1, full), min_size=1,
+                          max_size=n + 1, unique=True))
+    covered = 0
+    for m in masks:
+        covered |= m
+    if covered != full:
+        masks.append(full & ~covered)
+    g = Granulation(u, tuple(ESet(u, m) for m in masks))
+    if draw(st.booleans()):
+        return (u, g, image_table(u, lambda x: classical_lower(x, g)),
+                image_table(u, lambda x: classical_upper(x, g)))
+    table = st.lists(st.integers(0, full), min_size=full + 1,
+                     max_size=full + 1)
+    return u, g, draw(table), draw(table)

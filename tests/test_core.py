@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from roughpart import (
     CapExceeded,
@@ -11,14 +13,20 @@ from roughpart import (
     Universe,
     build_neighborhood_granulation,
     check_admissibility,
+    check_axiom,
     check_ggs_axioms,
     classical_lower,
     classical_upper,
+    evaluate_axiom_instance,
     iter_submasks,
+    kappa_k0,
+    kappa_st,
     neighborhood_map,
     vprs_lower,
     vprs_upper,
 )
+from roughpart.approx import require_alpha
+from conftest import operator_pairs
 
 U6 = Universe(("a", "b", "c", "d", "e", "f"))
 
@@ -217,3 +225,82 @@ def test_ul2_fails_for_precision_thresholded_operators(std):
     reports = {r.name: r for r in check_ggs_axioms(std.universe, g, lo, up)}
     assert not reports["UL2"].holds
     assert reports["UL2"].witnesses
+
+
+def _plain_failures(u, g, lo, up):
+    """Every failing instance of each swept structural condition, in
+    sweep order, from plain loops over the whole powerset."""
+    masks = range(u.full_mask + 1)
+    full = u.full_mask
+
+    def w(**named):
+        return tuple((k, ESet(u, m).members) for k, m in named.items())
+
+    def union_inside(v):
+        out = 0
+        for h in g.masks:
+            if h & ~v == 0:
+                out |= h
+        return out
+
+    weak = []
+    for a in masks:
+        for tag, v in (("lower", lo[a]), ("upper", up[a])):
+            if union_inside(v) != v:
+                weak.append(w(a=a) + (("operator", (tag,)),) + w(value=v))
+    definite = [z for z in masks if lo[z] == z and up[z] == z]
+    return {
+        "UL1": [w(a=a) for a in masks if lo[a] & ~a
+                or lo[lo[a]] != lo[a] or up[a] & ~up[up[a]]],
+        "UL2": [w(a=a, b=b) for b in masks for a in masks
+                if a & ~b == 0 and (lo[a] & ~lo[b] or up[a] & ~up[b])],
+        "UL3": [w(bottom=0, top=full)] if lo[0] or up[0] else [],
+        "weak-representability": weak,
+        "lower-stability": [w(granule=h, a=a) for h in g.masks
+                            for a in masks if h & ~a == 0 and h & ~lo[a]],
+        "mereological-fullness": [
+            w(granule1=h, granule2=k) for h in g.masks for k in g.masks
+            if not [z for z in definite
+                    if (h | k) & ~z == 0 and z not in (h, k)]],
+    }
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_pairs())
+def test_reports_keep_the_first_failures_of_a_plain_sweep(pair):
+    u, g, lo, up = pair
+
+    def lower(x):
+        return ESet(u, lo[x.mask])
+
+    def upper(x):
+        return ESet(u, up[x.mask])
+
+    plain = _plain_failures(u, g, lo, up)
+    reports = check_ggs_axioms(u, g, lower, upper) \
+        + check_admissibility(u, g, lower, upper)
+    for r in reports:
+        fails = plain.get(r.name, [])
+        assert r.holds == (not fails), r.name
+        assert r.witnesses == tuple(fails[:3]), r.name
+
+
+U1 = Universe(("e1",))
+
+
+@pytest.mark.parametrize("call", [
+    require_alpha,
+    lambda x: kappa_st(x, "4/5"),
+    lambda x: check_axiom(kappa_k0(), "RV", U1, delta=x),
+    lambda x: evaluate_axiom_instance(
+        kappa_k0(), "RV", dict.fromkeys("abc", U1.full), delta=x),
+], ids=["require_alpha", "kappa_st", "check_axiom", "evaluate_instance"])
+def test_thresholds_are_exact(call):
+    """A float holds only the nearest binary value of 1/5, which moves
+    pairs across a threshold, so every threshold entry point refuses it."""
+    for good in ("1/5", Fraction(1, 5), 0):
+        call(good)
+    for bad in (0.2, True, "fifth", "1/0"):
+        with pytest.raises(ValueError, match="expected a fraction string"):
+            call(bad)
+

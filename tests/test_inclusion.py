@@ -14,7 +14,6 @@ from roughpart import (
     check_axiom,
     check_prif_implications,
     classify_rif,
-    default_delta_sweep,
     dependence_degree,
     eval_bgrif,
     eval_cgrif,
@@ -149,22 +148,37 @@ def test_share_measure_passes_threshold_preservation_small_sizes():
 
 def test_meet_premise_cannot_be_dropped():
     u = Universe.of(("1", "2", "3", "5", "6", "7", "8", "9"))
-    probe = ({"a": u.subset(("1", "2", "3", "6")),
-              "b": u.subset(("3", "5", "7", "8", "9")),
-              "c": u.subset(("2", "5", "6"))}, Fraction(1, 5))
-    report = check_axiom(kappa_k0(), "RI-np", u, probe_bindings=(probe,),
-                         max_witnesses=1)
-    assert not report.holds
-    assert len(report.witnesses) == 1
-    assert dict(report.parameters).get("sweep", "").startswith("skipped")
+    bindings = {"a": u.subset(("1", "2", "3", "6")),
+                "b": u.subset(("3", "5", "7", "8", "9")),
+                "c": u.subset(("2", "5", "6"))}
+    assert not evaluate_axiom_instance(kappa_k0(), "RI-np", bindings,
+                                       delta=Fraction(1, 5))
+    assert evaluate_axiom_instance(kappa_k0(), "RI", bindings,
+                                   delta=Fraction(1, 5))
 
 
-def test_delta_sweep_contains_tenths_and_small_denominators():
-    deltas = default_delta_sweep(4)
-    assert Fraction(0) in deltas and Fraction(1) in deltas
-    assert Fraction(3, 10) in deltas
-    assert Fraction(1, 3) in deltas
-    assert deltas == tuple(sorted(set(deltas)))
+def test_swept_axiom_is_decided_at_every_threshold():
+    # Kst(13/27,25/26) fails only in a narrow interval ending at 13/337,
+    # which holds no tenth and no fraction with a denominator up to the
+    # universe size. The table measure is 1 except at ({p}, {p,q}) and
+    # ({q}, {p,q}), where it is 1/2, and at ({}, {p,q}), where it is 0, so
+    # RI-np fails only for thresholds in (0, 1/2], read off pairs whose
+    # second set is not inside the first.
+    two = Universe(("p", "q"))
+    values = {(am, bm): Fraction(1) for am in range(4) for bm in range(4)}
+    values.update({(1, 3): Fraction(1, 2), (2, 3): Fraction(1, 2),
+                   (0, 3): Fraction(0)})
+    for kappa, u, delta in (
+            (kappa_st("13/27", "25/26"), Universe(("a", "b", "c")), "13/337"),
+            (_table_kappa(two, values), two, "1/2")):
+        report = check_axiom(kappa, "RI-np", u)
+        assert not report.holds, delta
+        for w in report.witnesses:
+            named = dict(w)
+            assert named.pop("delta") == (delta,)
+            bindings = {n: u.subset(m) for n, m in named.items()}
+            assert not evaluate_axiom_instance(kappa, "RI-np", bindings,
+                                               delta=delta)
 
 
 def _table_kappa(universe: Universe, values: dict[tuple[int, int], Fraction]
@@ -197,7 +211,7 @@ _INSTANCE_NAMES = {"U1": ("a",), "R0": ("a", "b"), "IR0": ("a", "b"),
 
 
 def _brute_failures(kappa, axiom, universe, deltas):
-    """Every failing instance, formatted as a witness, over the product of
+    """Every failing instance as (threshold, witness), over the product of
     all subsets and the given thresholds."""
     names = _INSTANCE_NAMES[axiom]
     sets = list(universe.subsets())
@@ -210,7 +224,7 @@ def _brute_failures(kappa, axiom, universe, deltas):
                 w = tuple((n, s.members) for n, s in bindings.items())
                 if delta is not None:
                     w += (("delta", (str(delta),)),)
-                out.append(w)
+                out.append((delta, w))
     return out
 
 
@@ -237,23 +251,33 @@ def near_shipped_measures(draw):
                        + [Fraction(1, 3), Fraction(3, 10)]))
 def test_sweep_agrees_with_instance_evaluation(um, max_witnesses, pinned):
     universe, kappa = um
+    sets = list(universe.subsets())
+    values = sorted({kappa(x, c) for x in sets for c in sets})
+    # Every instance keeps its verdict between two consecutive values, so
+    # the values and one point inside each gap decide every threshold.
+    dense = values + [(p + q) / 2 for p, q in zip(values, values[1:])]
     runs = [(a, None) for a in VALID_AXIOMS if a not in SWEPT_AXIOMS]
     runs += [(a, d) for a in SWEPT_AXIOMS for d in (pinned, None)]
     for axiom, delta in runs:
         report = check_axiom(kappa, axiom, universe, delta=delta,
                              max_witnesses=max_witnesses)
         if axiom not in SWEPT_AXIOMS:
-            deltas = (None,)
+            deltas = swept = (None,)
         elif delta is None:
-            deltas = default_delta_sweep(universe.size)
+            # The witnesses' thresholds are the values on the pairs that
+            # the axiom's instances read.
+            deltas = dense
+            swept = {kappa(x, c) for x in sets for c in sets
+                     if axiom == "RI-np" or c <= x}
         else:
-            deltas = (delta,)
+            deltas = swept = (delta,)
         brute = _brute_failures(kappa, axiom, universe, deltas)
         assert report.holds == (not brute), (axiom, delta)
-        assert len(report.witnesses) == min(max_witnesses, len(brute))
+        at_swept = [w for d, w in brute if d in swept]
+        assert len(report.witnesses) == min(max_witnesses, len(at_swept))
         assert len(set(report.witnesses)) == len(report.witnesses)
         for w in report.witnesses:
-            assert w in brute, (axiom, delta, w)
+            assert w in at_swept, (axiom, delta, w)
             named = dict(w)
             own = Fraction(named.pop("delta")[0]) if "delta" in named \
                 else None

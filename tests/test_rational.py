@@ -3,10 +3,13 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from roughpart import (
     LOWER_MODES,
+    ESet,
     Granulation,
+    ParthoodRelation,
     Universe,
     build_parthood,
     check_rational_proposition,
@@ -16,7 +19,7 @@ from roughpart import (
     rational_upper,
     vprs_lower,
 )
-from conftest import subsets_by_label
+from conftest import operator_pairs, subsets_by_label
 
 ALPHA = Fraction(3, 10)
 
@@ -287,3 +290,50 @@ def test_upper_proposition_reads_one_table_per_operator():
               for x in u.subsets()]
     assert [None if v is None else v.mask for v in values] \
         == S0U_UPPER_VALUES
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_pairs(), st.sampled_from(LOWER_MODES), st.data())
+def test_sweep_reports_keep_the_first_failures_of_a_plain_sweep(
+        pair, mode, data):
+    u, _, lo, up = pair
+    masks = range(u.full_mask + 1)
+    rows = data.draw(st.lists(st.integers(0, 2 ** len(masks) - 1),
+                              min_size=len(masks), max_size=len(masks)))
+    relation = ParthoodRelation("custom", u, tuple(rows))
+    sets = [ESet(u, m) for m in masks]
+
+    def lower(x):
+        return sets[lo[x.mask]]
+
+    def upper(x):
+        return sets[up[x.mask]]
+
+    def ps(a, b):
+        return rows[a] >> b & 1
+
+    def w(**named):
+        return tuple((k, sets[m].members) for k, m in named.items())
+
+    rl = [rational_lower(x, lower, relation, mode=mode).value.mask
+          for x in sets]
+    ru = [rational_upper(x, upper, lower, relation).value for x in sets]
+    defined = [(m, v.mask) for m, v in zip(masks, ru) if v is not None]
+    plain = {
+        "idempotent": [w(a=m) for m in masks if rl[rl[m]] != rl[m]],
+        "lower-compatible": [w(a=m) for m in masks if rl[m] & ~lo[m]],
+        "s-monotone": [w(a=a, b=b) for b in masks for a in masks
+                       if a & ~b == 0 and not ps(rl[a], rl[b])][:1],
+        "lower-compatible-open": [w(a=m) for m in masks
+                                  if not ps(rl[m], lo[m])],
+        "upper-compatible": [w(a=m) for m, v in defined if v & ~up[m]],
+        "upper-compatible-open": [w(a=m) for m, v in defined
+                                  if not ps(v, up[m])],
+    }
+    reports = check_rational_proposition(u, lower, relation, upper=upper,
+                                         mode=mode)
+    assert [r.name for r in reports] == ["framework-hypothesis", *plain]
+    for r in reports[1:]:
+        fails = plain[r.name]
+        assert r.holds == (not fails), r.name
+        assert r.witnesses == tuple(fails[:3]), r.name

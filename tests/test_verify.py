@@ -1,20 +1,27 @@
 from __future__ import annotations
 
 import inspect
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from roughpart import (
     ClauseOutcome,
+    ESet,
+    Fixture,
     SUITE_IDS,
     SuiteResult,
     TABLE_IDS,
     Universe,
     battery,
+    classical_lower,
+    classical_upper,
     compare_with_expected,
     diff_tables,
+    eval_bgrif,
     fixture_from_table,
     load_expected_outcomes,
     load_reference_table,
@@ -22,9 +29,12 @@ from roughpart import (
     run_theorem_suite,
     standard_fixture,
     suite_result_to_json,
+    vprs_tables,
 )
-from roughpart import approx, parthood
+from roughpart import approx, parthood, verify
 from roughpart.cli import main
+from roughpart.verify import Counterexample, _Eval, _merge
+from conftest import measures, precisions, small_fixtures
 
 
 def _mismatch_rows(report, table_id, column):
@@ -196,3 +206,134 @@ def test_s0u_from_pu_refutes_a_changed_floor(monkeypatch):
     outcome = next(o for o in result.outcomes if o.clause == "s0u-from-pu")
     assert not outcome.holds
     assert outcome.counterexamples
+
+
+def _plain_lower_cmo(lo, full):
+    pairs = [(a, b) for a in range(full + 1) for b in range(full + 1)
+             if lo[a] & ~b == 0 and b & ~a == 0]
+    return len(pairs), [{"a": a, "b": b} for a, b in pairs
+                        if lo[a] & ~lo[b]]
+
+
+def _plain_upper_cmo(up, full):
+    pairs = [(a, b) for a in range(full + 1) for b in range(full + 1)
+             if a & ~b == 0 and b & ~up[a] == 0]
+    return len(pairs), [{"a": a, "b": b} for a, b in pairs
+                        if up[a] & ~up[b]]
+
+
+def _plain_cap_closure(lo, full):
+    pairs = [(a, b) for a in range(full + 1) for b in range(a, full + 1)]
+    return len(pairs), [{"a": a, "b": b} for a, b in pairs
+                        if lo[a] & lo[b] & ~lo[a & b]]
+
+
+def _plain_grif(fixture):
+    """Every clause of the grif check as (checked, every counterexample,
+    gates), from nested loops over the public evaluation route."""
+    universe = fixture.universe
+    full = universe.full_mask
+    lo_op = lambda s: classical_lower(s, fixture.granulation)
+    up_op = lambda s: classical_upper(s, fixture.granulation)
+    img = {side: [op(ESet(universe, m)).mask for m in range(full + 1)]
+           for side, op in (("l", lo_op), ("u", up_op))}
+    cl, cu = img["l"], img["u"]
+    clauses = ("ulu2", "llu2", "mo", "refl", "bot", "top",
+               "route-agreement")
+    checked = dict.fromkeys(clauses, 0)
+    ces = {c: [] for c in clauses}
+
+    def ce(clause, extra=(), **named):
+        ces[clause].append(Counterexample(fixture.name, "nu", "", tuple(
+            (k, ESet(universe, m).members) for k, m in named.items())
+            + extra))
+
+    def bg(a, b, sigma, pi):
+        return eval_bgrif(ESet(universe, a), ESet(universe, b), sigma, pi,
+                          lo_op, up_op)
+
+    forms = [(sigma, pi) for sigma in "lu" for pi in "lu"]
+    for a in range(full + 1):
+        for b in range(full + 1):
+            checked["ulu2"] += 1
+            checked["llu2"] += 1
+            if (cu[a] & cl[b]).bit_count() > (cu[a] & cu[b]).bit_count():
+                ce("ulu2", a=a, b=b)
+            if (cl[a] & cl[b]).bit_count() > (cl[a] & cu[b]).bit_count():
+                ce("llu2", a=a, b=b)
+    for side in "lu":
+        for e in range(full + 1):
+            for b in range(full + 1):
+                if b & ~e == 0:
+                    checked["mo"] += 1
+                    if img[side][b] & ~img[side][e]:
+                        ce("mo", b=b, e=e, extra=(("side", (side,)),))
+    top_definite = cl[full] == full and cu[full] == full
+    for m in range(full + 1):
+        checked["refl"] += 1
+        if bg(m, m, "l", "l") != 1 or bg(m, m, "u", "u") != 1 \
+                or bg(m, m, "l", "u") > 1:
+            ce("refl", a=m)
+        for sigma, pi in forms:
+            checked["bot"] += 1
+            if bg(0, m, sigma, pi) != 1:
+                ce("bot", b=m, extra=(("form", (sigma + pi,)),))
+            if top_definite:
+                checked["top"] += 1
+                if bg(m, full, sigma, pi) != 1:
+                    ce("top", a=m, extra=(("form", (sigma + pi,)),))
+    sample = range(min(full + 1, 16))
+    for a in sample:
+        for b in sample:
+            for sigma, pi in forms:
+                checked["route-agreement"] += 1
+                fa, fb = img[sigma][a], img[pi][b]
+                via = Fraction(1) if fa == 0 else \
+                    Fraction((fa & fb).bit_count(), fa.bit_count())
+                if bg(a, b, sigma, pi) != via:
+                    ce("route-agreement", a=a, b=b,
+                       extra=(("form", (sigma + pi,)),))
+    gate = (("top-definite", "yes" if top_definite else
+             "no: top clause skipped"),)
+    return {c: (checked[c], ces[c], gate if c == "top" else ())
+            for c in clauses}
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_fixtures(), measures(), precisions)
+def test_sweeps_count_and_fail_like_plain_loops(fx, kappa, alpha):
+    universe, g, _ = fx
+    full = universe.full_mask
+    tables = vprs_tables(g, kappa, alpha)
+    for table in (tables.lower, tables.upper, tables.star_lower,
+                  tables.star_upper):
+        for sweep, plain in ((verify._lower_cmo, _plain_lower_cmo),
+                             (verify._upper_cmo, _plain_upper_cmo),
+                             (verify._cap_closure, _plain_cap_closure)):
+            checked, fails = sweep(table, full)
+            want_checked, want = plain(table, full)
+            assert checked == want_checked, sweep.__name__
+            assert list(itertools.islice(fails, 5)) == want[:5]
+    fixture = Fixture("f", universe, g)
+    want = _plain_grif(fixture)
+    evals = verify._grif_check(fixture)
+    assert [ev.clause for ev in evals] == list(want)
+    for ev in evals:
+        checked, ces, gates = want[ev.clause]
+        assert ev.checked == checked, ev.clause
+        assert list(itertools.islice(ev.ces, 5)) == ces[:5], ev.clause
+        assert ev.gates == gates
+
+
+def test_merge_takes_five_counterexamples_and_starts_no_later_check():
+    ce = Counterexample("f", "K0", "1/5", (("a", ("e1",)),))
+
+    def never_started():
+        raise AssertionError("a full clause started a later check")
+        yield
+
+    (outcome,) = _merge([_Eval("c", 1, itertools.repeat(ce)),
+                         _Eval("c", 2, never_started())])
+    assert outcome.counterexamples == (ce,) * 5
+    assert outcome.checked == 3
+    assert not outcome.holds
