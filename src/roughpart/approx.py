@@ -214,7 +214,8 @@ def vprs_tables(granulation: Granulation,
                 alpha: Fraction | int | str = 0) -> VprsTables:
     """All four precision-tuned images over the whole powerset.
 
-    One measure evaluation per (subset, granule) feeds all four images.
+    Each (subset, granule) is tested against the upper threshold, and
+    against the lower one only when it passes, since ``alpha < 1/2``.
     Tables are cached per (granulation, measure, precision); measures
     compare their evaluation functions by identity, so a key names
     exactly one measure."""
@@ -227,20 +228,21 @@ def _vprs_tables(granulation: Granulation, kappa: InclusionFn,
                  alpha: Fraction) -> VprsTables:
     universe = granulation.universe
     gmasks = granulation.masks
-    threshold = 1 - alpha
+    above = kappa.at_least(universe, alpha, strict=True)
+    reaches = kappa.at_least(universe, 1 - alpha)
     lo, up, slo, sup = [], [], [], []
     for x in range(universe.full_mask + 1):
         lm = um = sl = su = 0
         for gm in gmasks:
-            v = kappa.on_masks(universe, x, gm)
-            if v >= threshold:
+            if not above(x, gm):
+                continue
+            su |= gm
+            if gm & x:
+                um |= gm
+            if reaches(x, gm):
                 sl |= gm
                 if gm & ~x == 0:
                     lm |= gm
-            if v > alpha:
-                su |= gm
-                if gm & x:
-                    um |= gm
         lo.append(lm)
         up.append(um)
         slo.append(sl)

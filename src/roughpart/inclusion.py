@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
@@ -46,6 +47,9 @@ SWEPT_AXIOMS = ("RV", "RI", "RI-np")
 CLASS_TAGS = ("gRIF", "pRIF", "qRIF", "wqRIF")
 
 MaskFn = Callable[[Universe, int, int], Fraction]
+# (|a & b|, |a - b|, |b - a|, universe size) -> value
+CountFn = Callable[[int, int, int, int], Fraction]
+PairTest = Callable[[int, int], bool]
 
 
 @dataclass(frozen=True)
@@ -53,13 +57,22 @@ class InclusionFn:
     """A named inclusion measure with frozen tuning parameters.
 
     Calling an instance on two subsets of the same universe returns an
-    exact :class:`~fractions.Fraction`. ``on_masks`` is the unchecked fast
-    path used by exhaustive sweeps.
+    exact :class:`~fractions.Fraction`; ``on_masks`` is the same value
+    without the universe check. Both stay on ``Fraction`` arithmetic and
+    are the reference for the threshold tests of :meth:`at_least`.
+
+    ``counts`` is the optional cardinality form: the value as a function
+    of the Venn counts of the pair and the universe size. It must agree
+    with ``fn``. The built-in measures carry it, and whole-powerset
+    sweeps then compare ranks in one cached table per (counts, size)
+    instead of ``Fraction`` values. It takes no part in equality, hashing
+    or ``repr``; custom measures leave it None and stay on ``fn``.
     """
 
     tag: str
     fn: MaskFn = field(repr=False)
     parameters: tuple[tuple[str, str], ...] = ()
+    counts: CountFn | None = field(default=None, repr=False, compare=False)
 
     def __call__(self, a: ESet, b: ESet) -> Fraction:
         if a.universe != b.universe:
@@ -69,11 +82,50 @@ class InclusionFn:
     def on_masks(self, universe: Universe, am: int, bm: int) -> Fraction:
         return self.fn(universe, am, bm)
 
+    def at_least(self, universe: Universe, theta: Fraction, *,
+                 strict: bool = False) -> PairTest:
+        """The test ``kappa(a, b) >= theta`` (``>`` when ``strict``) on
+        mask pairs of ``universe``, for sweeps over many pairs."""
+        if self.counts is None:
+            fn = self.fn
+            if strict:
+                return lambda am, bm: fn(universe, am, bm) > theta
+            return lambda am, bm: fn(universe, am, bm) >= theta
+        values, rank = _rank_table(self.counts, universe.size)
+        cut = (bisect_right if strict else bisect_left)(values, theta)
+        return lambda am, bm: rank(am, bm) >= cut
+
     def describe(self) -> str:
         if not self.parameters:
             return self.tag
         inner = ",".join(f"{k}={v}" for k, v in self.parameters)
         return f"{self.tag}({inner})"
+
+
+@functools.cache
+def _rank_table(counts: CountFn, size: int
+                ) -> tuple[tuple[Fraction, ...], Callable[[int, int], int]]:
+    """The distinct values of ``counts`` on a universe of ``size``
+    elements, ascending, and the rank among them of each mask pair's
+    value. Every count triple that fits the universe is evaluated once,
+    with ``Fraction``; a pair's rank is one lookup by its counts."""
+    side = size + 1
+    cells = {(i * side + x) * side + y: counts(i, x, y, size)
+             for i in range(side) for x in range(side - i)
+             for y in range(side - i - x)}
+    values = tuple(sorted(set(cells.values())))
+    index = {v: r for r, v in enumerate(values)}
+    ranks = [-1] * side ** 3
+    for cell, v in cells.items():
+        ranks[cell] = index[v]
+
+    def rank(am: int, bm: int) -> int:
+        meet = am & bm
+        return ranks[(meet.bit_count() * side
+                      + (am ^ meet).bit_count()) * side
+                     + (bm ^ meet).bit_count()]
+
+    return values, rank
 
 
 def _same_universe(a: ESet, b: ESet) -> None:
@@ -102,9 +154,21 @@ def _k2_masks(universe: Universe, am: int, bm: int) -> Fraction:
     return Fraction(value.bit_count(), size)
 
 
-_K0 = InclusionFn("K0", _k0_masks)
-_K1 = InclusionFn("K1", _k1_masks)
-_K2 = InclusionFn("K2", _k2_masks)
+def _k0_counts(i: int, x: int, y: int, size: int) -> Fraction:
+    return Fraction(i, i + x) if i + x else ONE
+
+
+def _k1_counts(i: int, x: int, y: int, size: int) -> Fraction:
+    return Fraction(i + y, i + x + y) if i + x + y else ONE
+
+
+def _k2_counts(i: int, x: int, y: int, size: int) -> Fraction:
+    return Fraction(size - x, size) if size else ONE
+
+
+_K0 = InclusionFn("K0", _k0_masks, counts=_k0_counts)
+_K1 = InclusionFn("K1", _k1_masks, counts=_k1_counts)
+_K2 = InclusionFn("K2", _k2_masks, counts=_k2_counts)
 
 
 def kappa_k0() -> InclusionFn:
@@ -152,23 +216,34 @@ def kappa_st(s: Fraction | int | str, t: Fraction | int | str,
     """Two-threshold rescaling of ``base`` (default ``K0``).
 
     Values at or below ``s`` collapse to 0, values at or above ``t``
-    collapse to 1, and the open band in between rescales linearly.
+    collapse to 1, and the open band in between rescales linearly. The
+    result has a cardinality form exactly when ``base`` has one.
     """
     s = _exact(s)
     t = _exact(t)
     _validate_thresholds(s, t)
     inner = base if base is not None else _K0
 
-    def fn(universe: Universe, am: int, bm: int) -> Fraction:
-        v = inner.on_masks(universe, am, bm)
+    def rescale(v: Fraction) -> Fraction:
         if v <= s:
             return ZERO
         if v >= t:
             return ONE
         return (v - s) / (t - s)
 
+    def fn(universe: Universe, am: int, bm: int) -> Fraction:
+        return rescale(inner.on_masks(universe, am, bm))
+
+    counts = None
+    if inner.counts is not None:
+        base_counts = inner.counts
+
+        def counts(i: int, x: int, y: int, size: int) -> Fraction:
+            return rescale(base_counts(i, x, y, size))
+
     return InclusionFn("Kst", fn,
-                       (("s", str(s)), ("t", str(t)), ("base", inner.tag)))
+                       (("s", str(s)), ("t", str(t)), ("base", inner.tag)),
+                       counts)
 
 
 def eval_kst(a: ESet, b: ESet, s: Fraction | int | str,
@@ -232,49 +307,52 @@ def dependence_degree(a: ESet, b: ESet) -> Fraction:
 
 # Each entry lazily yields every failing instance of its axiom as (masks in
 # _INSTANCE_VARS order, delta or None); swept axioms loop over delta
-# outermost. The domains skip only instances whose premise fails.
+# outermost. The domains skip only instances whose premise fails. An entry
+# sees the measure through order-preserving primitives: ``val`` on a mask
+# pair, the images ``one`` and ``zero`` of 1 and 0, and ``comp`` mapping
+# a value's image to the image of 1 minus it.
 _FAILURES = {
-    "U1": lambda val, masks, deltas: (
-        ((a,), None) for a in masks if val(a, a) != ONE),
-    "R0": lambda val, masks, deltas: (
+    "U1": lambda val, one, zero, comp, masks, deltas: (
+        ((a,), None) for a in masks if val(a, a) != one),
+    "R0": lambda val, one, zero, comp, masks, deltas: (
         ((a, b), None) for b in masks for a in iter_submasks(b)
-        if val(a, b) != ONE),
-    "IR0": lambda val, masks, deltas: (
+        if val(a, b) != one),
+    "IR0": lambda val, one, zero, comp, masks, deltas: (
         ((a, b), None) for a in masks for b in masks
-        if val(a, b) == ONE and a & ~b),
-    "R1": lambda val, masks, deltas: (
+        if val(a, b) == one and a & ~b),
+    "R1": lambda val, one, zero, comp, masks, deltas: (
         ((a, b), None) for a in masks for b in masks
-        if (val(a, b) == ONE) != (a & ~b == 0)),
-    "R2": lambda val, masks, deltas: (
+        if (val(a, b) == one) != (a & ~b == 0)),
+    "R2": lambda val, one, zero, comp, masks, deltas: (
         ((a, b, c), None) for b in masks for c in masks
-        if val(b, c) == ONE for a in masks if val(a, b) > val(a, c)),
-    "R3": lambda val, masks, deltas: (
+        if val(b, c) == one for a in masks if val(a, b) > val(a, c)),
+    "R3": lambda val, one, zero, comp, masks, deltas: (
         ((a, b, c), None) for c in masks for b in iter_submasks(c)
         for a in masks if val(a, b) > val(a, c)),
-    "R4": lambda val, masks, deltas: (
+    "R4": lambda val, one, zero, comp, masks, deltas: (
         ((a, b), None) for a in masks for b in masks
-        if val(a, b) == ZERO and a & b),
-    "IR4": lambda val, masks, deltas: (
+        if val(a, b) == zero and a & b),
+    "IR4": lambda val, one, zero, comp, masks, deltas: (
         ((a, b), None) for a in masks[1:] for b in masks
-        if a & b == 0 and val(a, b) != ZERO),
-    "R5": lambda val, masks, deltas: (
+        if a & b == 0 and val(a, b) != zero),
+    "R5": lambda val, one, zero, comp, masks, deltas: (
         ((a, b), None) for a in masks[1:] for b in masks
-        if (val(a, b) == ZERO) != (a & b == 0)),
-    "RB": lambda val, masks, deltas: (
-        ((a,), None) for a in masks[1:] if val(a, 0) != ZERO),
-    "R6": lambda val, masks, deltas: (
+        if (val(a, b) == zero) != (a & b == 0)),
+    "RB": lambda val, one, zero, comp, masks, deltas: (
+        ((a,), None) for a in masks[1:] if val(a, 0) != zero),
+    "R6": lambda val, one, zero, comp, masks, deltas: (
         ((a, b, c), None) for b in masks for s in iter_submasks(b)
         for c in [(masks[-1] ^ b) | s] for a in masks[1:]
-        if val(a, b) + val(a, c) != ONE),
-    "RV": lambda val, masks, deltas: (
+        if val(a, c) != comp(val(a, b))),
+    "RV": lambda val, one, zero, comp, masks, deltas: (
         ((a, b, c), d) for d in deltas for b in masks
         for a in iter_submasks(b) for c in iter_submasks(a)
         if val(b, c) >= d and val(a, c) < d),
-    "RI": lambda val, masks, deltas: (
+    "RI": lambda val, one, zero, comp, masks, deltas: (
         ((a, b, c), d) for d in deltas for a in masks for b in masks
         for m in [a & b] for c in iter_submasks(m)
         if val(a, c) >= d and val(b, c) >= d and val(m, c) < d),
-    "RI-np": lambda val, masks, deltas: (
+    "RI-np": lambda val, one, zero, comp, masks, deltas: (
         ((a, b, c), d) for d in deltas for a in masks for b in masks
         for c in masks
         if val(a, c) >= d and val(b, c) >= d and val(a & b, c) < d),
@@ -415,24 +493,37 @@ def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
     elif delta is not None:
         raise ValueError(f"axiom {axiom_id} takes no delta threshold")
     _check_cap(universe.size, EXHAUSTIVE_CAP, f"the {axiom_id} sweep")
-    val = functools.cache(functools.partial(kappa.on_masks, universe))
     masks = range(universe.full_mask + 1)
     params = [("kappa", kappa.describe())]
+    if kappa.counts is None:
+        val = functools.cache(functools.partial(kappa.on_masks, universe))
+        values = None
+        one, zero, comp, cut = ONE, ZERO, ONE.__sub__, delta
+    else:
+        # Values become their ranks among the measure's values, so every
+        # comparison an axiom makes is an int comparison.
+        values, val = _rank_table(kappa.counts, universe.size)
+        index = {v: r for r, v in enumerate(values)}
+        one, zero = index.get(ONE, -1), index.get(ZERO, -1)
+        comp = [index.get(ONE - v, -1) for v in values].__getitem__
+        cut = None if delta is None else bisect_left(values, delta)
     if delta is not None:
-        deltas = (delta,)
+        deltas = (cut,)
+        labels = {cut: str(delta)}
         params.append(("delta", str(delta)))
     elif axiom_id in SWEPT_AXIOMS:
         deltas = tuple(sorted({val(x, c) for x in masks for c in (
             masks if axiom_id == "RI-np" else iter_submasks(x))}))
+        labels = {d: str(d if values is None else values[d]) for d in deltas}
         params.append(("delta", f"sweep[{len(deltas)}]"))
     else:
-        deltas = ()
+        deltas, labels = (), {}
     names = _INSTANCE_VARS[axiom_id]
+    failures = _FAILURES[axiom_id](val, one, zero, comp, masks, deltas)
     witnesses = tuple(
         tuple(binding(k, ESet(universe, m)) for k, m in zip(names, ms))
-        + ((("delta", (str(d),)),) if d is not None else ())
-        for ms, d in itertools.islice(
-            _FAILURES[axiom_id](val, masks, deltas), max_witnesses))
+        + ((("delta", (labels[d],)),) if d is not None else ())
+        for ms, d in itertools.islice(failures, max_witnesses))
     return CheckReport(axiom_id, not witnesses, witnesses,
                        universe.size, tuple(params))
 

@@ -114,8 +114,8 @@ def _image(tag: str, ctx: BuildContext) -> Sequence[int]:
     """The image of every subset mask under an image-comparing tag."""
     g, kap, alpha = ctx.granulation, ctx.kappa, ctx.alpha
     if _IMAGE_OF[tag] == "profile":
-        return [sum(1 << i for i, h in enumerate(g.masks)
-                    if kap.on_masks(g.universe, m, h) >= alpha)
+        reaches = kap.at_least(g.universe, alpha)
+        return [sum(1 << i for i, h in enumerate(g.masks) if reaches(m, h))
                 for m in range(g.universe.full_mask + 1)]
     return getattr(vprs_tables(g, kap, alpha), _IMAGE_OF[tag])
 
@@ -195,9 +195,9 @@ def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
             # Same intent as s5, rebuilt granule by granule instead of
             # through the preorder of lower images; the two must agree.
             lo = vprs_tables(granulation, kap, alpha).lower
-            need = 1 - alpha
-            inside = [[g for g in granulation.masks if g & ~am == 0
-                       and kap.on_masks(universe, am, g) >= need]
+            reaches = kap.at_least(universe, 1 - alpha)
+            inside = [[g for g in granulation.masks
+                       if g & ~am == 0 and reaches(am, g)]
                       for am in masks]
 
             def pred(am, bm):
@@ -207,9 +207,8 @@ def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
     else:
         rows = _preorder_rows(_image(tag, ctx))
         if tag in _FLOOR_OF:
-            floor = _FLOOR_OF[tag](alpha)
-            rows = [sum(1 << bm for bm in iter_bits(row)
-                        if kap.on_masks(universe, am, bm) >= floor)
+            reaches = kap.at_least(universe, _FLOOR_OF[tag](alpha))
+            rows = [sum(1 << bm for bm in iter_bits(row) if reaches(am, bm))
                     for am, row in enumerate(rows)]
 
     params = [("kappa", kap.describe()), ("alpha", str(alpha)),

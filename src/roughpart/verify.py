@@ -551,8 +551,8 @@ def _floor_rows(universe: Universe, kap: InclusionFn,
     (a, b). It spans every pair of the universe, whatever the granulation,
     so fixtures over one universe share it."""
     masks = range(universe.full_mask + 1)
-    return tuple(sum(1 << bm for bm in masks
-                     if kap.on_masks(universe, am, bm) >= alpha)
+    reaches = kap.at_least(universe, alpha)
+    return tuple(sum(1 << bm for bm in masks if reaches(am, bm))
                  for am in masks)
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -244,20 +245,22 @@ def near_shipped_measures(draw):
     return u, _table_kappa(u, values)
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.one_of(random_measures(), near_shipped_measures()),
-       st.integers(1, 4),
-       st.sampled_from([Fraction(n, 4) for n in range(5)]
-                       + [Fraction(1, 3), Fraction(3, 10)]))
-def test_sweep_agrees_with_instance_evaluation(um, max_witnesses, pinned):
-    universe, kappa = um
+def _assert_sweeps_match_brute_force(kappa, universe, pinned, max_witnesses,
+                                     sweep=True):
+    """``check_axiom`` on every axiom, the swept ones at each pinned
+    threshold and, with ``sweep``, swept, against the instance-by-instance
+    brute force."""
     sets = list(universe.subsets())
     values = sorted({kappa(x, c) for x in sets for c in sets})
     # Every instance keeps its verdict between two consecutive values, so
     # the values and one point inside each gap decide every threshold.
     dense = values + [(p + q) / 2 for p, q in zip(values, values[1:])]
+    # The brute force reads the same values from a plain lookup table.
+    oracle = _table_kappa(universe, {(x.mask, c.mask): kappa(x, c)
+                                     for x in sets for c in sets})
     runs = [(a, None) for a in VALID_AXIOMS if a not in SWEPT_AXIOMS]
-    runs += [(a, d) for a in SWEPT_AXIOMS for d in (pinned, None)]
+    runs += [(a, d) for a in SWEPT_AXIOMS
+             for d in (*pinned, None) if d is not None or sweep]
     for axiom, delta in runs:
         report = check_axiom(kappa, axiom, universe, delta=delta,
                              max_witnesses=max_witnesses)
@@ -271,7 +274,7 @@ def test_sweep_agrees_with_instance_evaluation(um, max_witnesses, pinned):
                      if axiom == "RI-np" or c <= x}
         else:
             deltas = swept = (delta,)
-        brute = _brute_failures(kappa, axiom, universe, deltas)
+        brute = _brute_failures(oracle, axiom, universe, deltas)
         assert report.holds == (not brute), (axiom, delta)
         at_swept = [w for d, w in brute if d in swept]
         assert len(report.witnesses) == min(max_witnesses, len(at_swept))
@@ -284,6 +287,124 @@ def test_sweep_agrees_with_instance_evaluation(um, max_witnesses, pinned):
             bindings = {n: universe.subset(m) for n, m in named.items()}
             assert not evaluate_axiom_instance(kappa, axiom, bindings,
                                                delta=own)
+        if axiom in SWEPT_AXIOMS and delta is None and report.witnesses:
+            # The sweep's first failure is the first one at its threshold.
+            first = report.witnesses[0]
+            at = check_axiom(kappa, axiom, universe, max_witnesses=1,
+                             delta=Fraction(dict(first)["delta"][0]))
+            assert at.witnesses == (first,), (axiom, first)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.one_of(random_measures(), near_shipped_measures()),
+       st.integers(1, 4),
+       st.sampled_from([Fraction(n, 4) for n in range(5)]
+                       + [Fraction(1, 3), Fraction(3, 10)]))
+def test_sweep_agrees_with_instance_evaluation(um, max_witnesses, pinned):
+    universe, kappa = um
+    _assert_sweeps_match_brute_force(kappa, universe, (pinned,),
+                                     max_witnesses)
+
+
+_SHIPPED = (kappa_k0(), kappa_k1(), kappa_k2(), kappa_st("1/5", "4/5"),
+            kappa_st("13/27", "25/26"), kappa_st("1/5", "4/5", kappa_k1()),
+            kappa_st("1/4", "3/4", kappa_k2()))
+
+
+@pytest.mark.parametrize("kappa", _SHIPPED, ids=InclusionFn.describe)
+def test_rank_sweep_agrees_with_instance_evaluation(kappa):
+    """The shipped measures decide every axiom on their rank tables. The
+    pinned threshold 1/3 is a value of K0, K1 and K2 on three elements,
+    and 3/10 is a value of none of these measures, so its cut falls
+    inside a gap. Every report also equals the one the same measure gives
+    on the ``Fraction`` route, witnesses in order."""
+    assert kappa.counts is not None
+    plain = dataclasses.replace(kappa, counts=None)
+    pinned = (Fraction(1, 3), Fraction(3, 10))
+    for size in (3, 4):
+        universe = Universe(tuple("pqrs"[:size]))
+        # Swept thresholds on four elements take the brute force ten
+        # times as long as the rest; the Fraction route covers them.
+        _assert_sweeps_match_brute_force(kappa, universe, pinned, 2,
+                                         sweep=size == 3)
+        for axiom in VALID_AXIOMS:
+            for delta in (None, *pinned) if axiom in SWEPT_AXIOMS \
+                    else (None,):
+                assert check_axiom(kappa, axiom, universe, delta=delta) \
+                    == check_axiom(plain, axiom, universe, delta=delta)
+
+
+@pytest.mark.parametrize("kappa", _SHIPPED, ids=InclusionFn.describe)
+def test_threshold_tests_agree_with_the_measure(kappa):
+    """``at_least`` against the ``Fraction`` values on every pair, at every
+    value of the measure, every midpoint between two, and 0 and 1, plus
+    one threshold below and one above the unit interval."""
+    for size in range(6):
+        universe = Universe(tuple("pqrst"[:size]))
+        sets = list(universe.subsets())
+        vals = {(a.mask, b.mask): kappa(a, b) for a in sets for b in sets}
+        values = sorted(set(vals.values()))
+        assert inclusion._rank_table(kappa.counts, size)[0] == tuple(values)
+        thetas = set(values) | {(p + q) / 2 for p, q in
+                                zip(values, values[1:])}
+        thetas |= {Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(3, 2)}
+        for theta in sorted(thetas):
+            for strict in (False, True):
+                test = kappa.at_least(universe, theta, strict=strict)
+                want = {pair for pair, v in vals.items()
+                        if (v > theta if strict else v >= theta)}
+                assert {pair for pair in vals if test(*pair)} == want, \
+                    (size, theta, strict)
+
+
+def test_measures_without_a_cardinality_form_stay_on_their_function():
+    """A measure built from a function reads that function, whatever its
+    tag, and never the table of a measure that shares the tag."""
+    u = Universe(("p", "q", "r"))
+    sets = list(u.subsets())
+    k0 = kappa_k0()
+
+    def swapped(universe, am, bm):
+        return k0.on_masks(universe, bm, am)
+
+    table = _table_kappa(u, {(a.mask, b.mask): eval_k1(a, b)
+                             for a in sets for b in sets})
+    custom = (InclusionFn("K0", swapped), InclusionFn("K0", k0.fn),
+              kappa_st("1/5", "4/5", table))
+    assert InclusionFn("K0", k0.fn) == k0
+    for kappa in custom:
+        assert kappa.counts is None
+        for theta in (Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                      Fraction(1)):
+            for strict in (False, True):
+                test = kappa.at_least(u, theta, strict=strict)
+                for a in sets:
+                    for b in sets:
+                        v = kappa(a, b)
+                        assert test(a.mask, b.mask) == (
+                            v > theta if strict else v >= theta)
+    assert any(swapped(u, a.mask, b.mask) != k0(a, b)
+               for a in sets for b in sets)
+
+
+def test_measures_sharing_a_tag_read_their_own_tables():
+    """Two ``Kst`` measures share a tag and differ in their base; two
+    built from equal arguments are distinct objects. Each reads a table
+    of its own, keyed by its cardinality form."""
+    u = Universe(("p", "q", "r", "s"))
+    sets = list(u.subsets())
+    over_k0, again, over_k1 = (kappa_st("1/5", "4/5"), kappa_st("1/5", "4/5"),
+                               kappa_st("1/5", "4/5", kappa_k1()))
+    assert over_k0.tag == over_k1.tag and over_k0 != again
+    tables = [inclusion._rank_table(k.counts, u.size)
+              for k in (over_k0, again, over_k1)]
+    assert tables[0] is not tables[1]
+    assert any(tables[0][1](a.mask, b.mask) != tables[2][1](a.mask, b.mask)
+               for a in sets for b in sets)
+    for kappa in (over_k0, over_k1):
+        test = kappa.at_least(u, Fraction(1, 2))
+        assert all(test(a.mask, b.mask) == (kappa(a, b) >= Fraction(1, 2))
+                   for a in sets for b in sets)
 
 
 @settings(max_examples=20, deadline=None)

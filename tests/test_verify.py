@@ -31,7 +31,7 @@ from roughpart import (
     suite_result_to_json,
     vprs_tables,
 )
-from roughpart import approx, parthood, verify
+from roughpart import approx, inclusion, parthood, verify
 from roughpart.cli import main
 from roughpart.verify import Counterexample, _Eval, _merge
 from conftest import measures, precisions, small_fixtures
@@ -196,6 +196,20 @@ def test_suites_share_one_vprs_table_per_combination():
     approx._vprs_tables.cache_clear()
     run_theorem_suite("all", random_count=4)
     assert approx._vprs_tables.cache_info().misses == 40
+
+
+def test_suites_share_one_rank_table_per_measure_and_size():
+    """Every measure test of ``all`` reads one rank table per (measure,
+    universe size): K0 on sizes 1 to 6 (the RV and RI sweeps), K1 and K2
+    on 3 to 5 (prif), Kst(1/5,4/5) on 3 to 6 and Kst(1/5,1) on 5 make 17
+    tables. Every cache that holds results read off the tables starts
+    empty, so each table is asked for."""
+    for cached in (inclusion._rank_table, approx._vprs_tables,
+                   verify._kappa_from_tag, verify._class_tags,
+                   verify._ri_gate, verify._floor_rows):
+        cached.cache_clear()
+    run_theorem_suite("all", random_count=4)
+    assert inclusion._rank_table.cache_info().misses == 17
 
 
 def test_s0u_from_pu_refutes_a_changed_floor(monkeypatch):
