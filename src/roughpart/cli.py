@@ -346,7 +346,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
         delta = _fraction(spec["delta"], "/delta")
         if not 0 <= delta <= 1:
             _fail("threshold must lie in [0, 1]", "/delta")
-    reports = [check_axiom(kappa, axiom, universe, max_witnesses=1,
+    reports = [check_axiom(kappa, axiom, universe,
                            delta=delta if axiom in SWEPT_AXIOMS else None)
                for axiom in axioms]
     table_rows = []
@@ -371,8 +371,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 
     def holds(axiom: str) -> bool:
         if axiom not in verdicts:
-            verdicts[axiom] = check_axiom(kappa, axiom, universe,
-                                          max_witnesses=1).holds
+            verdicts[axiom] = check_axiom(kappa, axiom, universe).holds
         return verdicts[axiom]
 
     classes = list(_rif_classes(holds))

@@ -258,7 +258,7 @@ class Granulation:
         return iter(self.granules)
 
     def __contains__(self, item: ESet) -> bool:
-        return any(g.mask == item.mask for g in self.granules)
+        return item in self.granules
 
 
 @dataclass(frozen=True)

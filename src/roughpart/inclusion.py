@@ -19,7 +19,6 @@ axioms that any [0, 1]-valued measure must respect.
 from __future__ import annotations
 
 import functools
-import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,6 +31,7 @@ from .core import (
     Universe,
     _check_cap,
     _exact,
+    _sweep_report,
     binding,
     iter_submasks,
 )
@@ -47,8 +47,6 @@ SWEPT_AXIOMS = ("RV", "RI", "RI-np")
 CLASS_TAGS = ("gRIF", "pRIF", "qRIF", "wqRIF")
 
 MaskFn = Callable[[Universe, int, int], Fraction]
-# (|a & b|, |a - b|, |b - a|, universe size) -> value
-CountFn = Callable[[int, int, int, int], Fraction]
 PairTest = Callable[[int, int], bool]
 
 
@@ -61,18 +59,20 @@ class InclusionFn:
     without the universe check. Both stay on ``Fraction`` arithmetic and
     are the reference for the threshold tests of :meth:`at_least`.
 
-    ``counts`` is the optional cardinality form: the value as a function
-    of the Venn counts of the pair and the universe size. It must agree
-    with ``fn``. The built-in measures carry it, and whole-powerset
-    sweeps then compare ranks in one cached table per (counts, size)
-    instead of ``Fraction`` values. It takes no part in equality, hashing
-    or ``repr``; custom measures leave it None and stay on ``fn``.
+    ``invariant`` declares that the measure is invariant under
+    permutations of the universe: set it only when ``fn`` depends on the
+    Venn counts |a∩b|, |a∖b|, |b∖a| of the pair and the universe size
+    alone. The built-in measures set it, and whole-powerset sweeps then
+    compare ranks in one cached table per (``fn``, size) instead of
+    ``Fraction`` values. It takes no part in equality, hashing or
+    ``repr``; a measure built as ``InclusionFn(tag, fn, parameters)`` is
+    not invariant and stays on ``fn``.
     """
 
     tag: str
     fn: MaskFn = field(repr=False)
     parameters: tuple[tuple[str, str], ...] = ()
-    counts: CountFn | None = field(default=None, repr=False, compare=False)
+    invariant: bool = field(default=False, repr=False, compare=False)
 
     def __call__(self, a: ESet, b: ESet) -> Fraction:
         if a.universe != b.universe:
@@ -86,12 +86,12 @@ class InclusionFn:
                  strict: bool = False) -> PairTest:
         """The test ``kappa(a, b) >= theta`` (``>`` when ``strict``) on
         mask pairs of ``universe``, for sweeps over many pairs."""
-        if self.counts is None:
+        if not self.invariant:
             fn = self.fn
             if strict:
                 return lambda am, bm: fn(universe, am, bm) > theta
             return lambda am, bm: fn(universe, am, bm) >= theta
-        values, rank = _rank_table(self.counts, universe.size)
+        values, rank = _rank_table(self.fn, universe.size)
         cut = (bisect_right if strict else bisect_left)(values, theta)
         return lambda am, bm: rank(am, bm) >= cut
 
@@ -103,14 +103,19 @@ class InclusionFn:
 
 
 @functools.cache
-def _rank_table(counts: CountFn, size: int
+def _rank_table(fn: MaskFn, size: int
                 ) -> tuple[tuple[Fraction, ...], Callable[[int, int], int]]:
-    """The distinct values of ``counts`` on a universe of ``size``
-    elements, ascending, and the rank among them of each mask pair's
-    value. Every count triple that fits the universe is evaluated once,
-    with ``Fraction``; a pair's rank is one lookup by its counts."""
+    """The distinct values of the invariant measure ``fn`` on a universe
+    of ``size`` elements, ascending, and the rank among them of each mask
+    pair's value. Each Venn-count triple (i, x, y) = (|a∩b|, |a∖b|,
+    |b∖a|) that fits the universe is evaluated once, with ``Fraction``,
+    at one pair with those counts on a canonical universe; a pair's rank
+    is one lookup by its counts."""
     side = size + 1
-    cells = {(i * side + x) * side + y: counts(i, x, y, size)
+    universe = Universe(tuple(f"e{k}" for k in range(size)))
+    cells = {(i * side + x) * side + y:
+             fn(universe, (1 << (i + x)) - 1,
+                ((1 << i) - 1) | (((1 << y) - 1) << (i + x)))
              for i in range(side) for x in range(side - i)
              for y in range(side - i - x)}
     values = tuple(sorted(set(cells.values())))
@@ -154,21 +159,9 @@ def _k2_masks(universe: Universe, am: int, bm: int) -> Fraction:
     return Fraction(value.bit_count(), size)
 
 
-def _k0_counts(i: int, x: int, y: int, size: int) -> Fraction:
-    return Fraction(i, i + x) if i + x else ONE
-
-
-def _k1_counts(i: int, x: int, y: int, size: int) -> Fraction:
-    return Fraction(i + y, i + x + y) if i + x + y else ONE
-
-
-def _k2_counts(i: int, x: int, y: int, size: int) -> Fraction:
-    return Fraction(size - x, size) if size else ONE
-
-
-_K0 = InclusionFn("K0", _k0_masks, counts=_k0_counts)
-_K1 = InclusionFn("K1", _k1_masks, counts=_k1_counts)
-_K2 = InclusionFn("K2", _k2_masks, counts=_k2_counts)
+_K0 = InclusionFn("K0", _k0_masks, invariant=True)
+_K1 = InclusionFn("K1", _k1_masks, invariant=True)
+_K2 = InclusionFn("K2", _k2_masks, invariant=True)
 
 
 def kappa_k0() -> InclusionFn:
@@ -217,33 +210,24 @@ def kappa_st(s: Fraction | int | str, t: Fraction | int | str,
 
     Values at or below ``s`` collapse to 0, values at or above ``t``
     collapse to 1, and the open band in between rescales linearly. The
-    result has a cardinality form exactly when ``base`` has one.
+    result is invariant exactly when ``base`` is.
     """
     s = _exact(s)
     t = _exact(t)
     _validate_thresholds(s, t)
     inner = base if base is not None else _K0
 
-    def rescale(v: Fraction) -> Fraction:
+    def fn(universe: Universe, am: int, bm: int) -> Fraction:
+        v = inner.on_masks(universe, am, bm)
         if v <= s:
             return ZERO
         if v >= t:
             return ONE
         return (v - s) / (t - s)
 
-    def fn(universe: Universe, am: int, bm: int) -> Fraction:
-        return rescale(inner.on_masks(universe, am, bm))
-
-    counts = None
-    if inner.counts is not None:
-        base_counts = inner.counts
-
-        def counts(i: int, x: int, y: int, size: int) -> Fraction:
-            return rescale(base_counts(i, x, y, size))
-
     return InclusionFn("Kst", fn,
                        (("s", str(s)), ("t", str(t)), ("base", inner.tag)),
-                       counts)
+                       inner.invariant)
 
 
 def eval_kst(a: ESet, b: ESet, s: Fraction | int | str,
@@ -472,8 +456,7 @@ def evaluate_axiom_instance(kappa: InclusionFn, axiom_id: str,
 
 
 def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
-                delta: Fraction | None = None,
-                max_witnesses: int = 3) -> CheckReport:
+                delta: Fraction | None = None) -> CheckReport:
     """Exhaustively test one axiom for ``kappa`` over a finite universe.
 
     Swept axioms (RV, RI, RI-np) quantify over a threshold as well: pass
@@ -485,8 +468,6 @@ def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
     (x, c) with c inside x for RV and RI, and every pair for RI-np.
     """
     _require_axiom(axiom_id)
-    if max_witnesses < 1:
-        raise ValueError("max_witnesses must be at least 1")
     if axiom_id in SWEPT_AXIOMS:
         if delta is not None:
             delta = _exact(delta)
@@ -495,14 +476,14 @@ def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
     _check_cap(universe.size, EXHAUSTIVE_CAP, f"the {axiom_id} sweep")
     masks = range(universe.full_mask + 1)
     params = [("kappa", kappa.describe())]
-    if kappa.counts is None:
+    if not kappa.invariant:
         val = functools.cache(functools.partial(kappa.on_masks, universe))
         values = None
         one, zero, comp, cut = ONE, ZERO, ONE.__sub__, delta
     else:
         # Values become their ranks among the measure's values, so every
         # comparison an axiom makes is an int comparison.
-        values, val = _rank_table(kappa.counts, universe.size)
+        values, val = _rank_table(kappa.fn, universe.size)
         index = {v: r for r, v in enumerate(values)}
         one, zero = index.get(ONE, -1), index.get(ZERO, -1)
         comp = [index.get(ONE - v, -1) for v in values].__getitem__
@@ -520,12 +501,10 @@ def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
         deltas, labels = (), {}
     names = _INSTANCE_VARS[axiom_id]
     failures = _FAILURES[axiom_id](val, one, zero, comp, masks, deltas)
-    witnesses = tuple(
+    return _sweep_report(axiom_id, (
         tuple(binding(k, ESet(universe, m)) for k, m in zip(names, ms))
         + ((("delta", (labels[d],)),) if d is not None else ())
-        for ms, d in itertools.islice(failures, max_witnesses))
-    return CheckReport(axiom_id, not witnesses, witnesses,
-                       universe.size, tuple(params))
+        for ms, d in failures), universe.size, tuple(params))
 
 
 def classify_rif(kappa: InclusionFn, universe: Universe) -> tuple[str, ...]:
@@ -537,7 +516,7 @@ def classify_rif(kappa: InclusionFn, universe: Universe) -> tuple[str, ...]:
     for the chain-stability axiom at every threshold.
     """
     return _rif_classes(functools.cache(lambda axiom: check_axiom(
-        kappa, axiom, universe, max_witnesses=1).holds))
+        kappa, axiom, universe).holds))
 
 
 def _rif_classes(holds: Callable[[str], bool]) -> tuple[str, ...]:
@@ -568,7 +547,7 @@ def check_prif_implications(kappa: InclusionFn,
     property of ``kappa``. The reports carry the individual axiom verdicts
     in their parameters so a violation is diagnosable.
     """
-    t = {axiom: check_axiom(kappa, axiom, universe, max_witnesses=1).holds
+    t = {axiom: check_axiom(kappa, axiom, universe).holds
          for axiom in _IMPLICATION_AXIOMS}
 
     implications = (

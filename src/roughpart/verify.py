@@ -322,7 +322,7 @@ def _class_tags(ktag: str, size: int) -> tuple[str, ...]:
 @functools.cache
 def _ri_gate(ktag: str, size: int, delta: Fraction) -> bool:
     return check_axiom(_kappa_from_tag(ktag), "RI", _universe_of(size),
-                       delta=delta, max_witnesses=1).holds
+                       delta=delta).holds
 
 
 # A clause sweep's checked count and its failing bindings, lazily.

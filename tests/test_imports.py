@@ -1,18 +1,24 @@
-"""Every name a module imports is used in that module.
+"""Static checks over the package sources and the names the tracer binds.
 
-A static check over the package sources; ``__init__.py`` is skipped
-because it imports names in order to re-export them.
+Every name a module imports is used in that module; ``__init__.py`` is
+skipped because it imports names in order to re-export them. Every
+function the benchmark tracer in ``perfbench/tracing.py`` wraps exists,
+and a measure rebuilt from its tag, function and parameters, as the
+tracer rebuilds it, equals the original.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted(p for p in (Path(__file__).parent.parent / "src" /
-                             "roughpart").glob("*.py")
+from roughpart import InclusionFn, kappa_k0, kappa_k1, kappa_k2, kappa_st
+
+ROOT = Path(__file__).parent.parent
+SOURCES = sorted(p for p in (ROOT / "src" / "roughpart").glob("*.py")
                  if p.name != "__init__.py")
 
 
@@ -36,3 +42,34 @@ def test_every_import_is_used(path):
 def test_an_unused_import_is_reported():
     source = "from typing import Callable, Sequence\nx: Callable\n"
     assert _unused_imports(source) == ["Sequence"]
+
+
+def _tracer_constants() -> dict[str, object]:
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text(
+        encoding="utf-8"))
+    return {target.id: ast.literal_eval(node.value)
+            for node in tree.body if isinstance(node, ast.Assign)
+            for target in node.targets
+            if isinstance(target, ast.Name)
+            and target.id in ("TARGETS", "MEASURE_FACTORIES")}
+
+
+def test_traced_functions_exist():
+    constants = _tracer_constants()
+    named = [(layer, name) for layer, names in constants["TARGETS"].items()
+             for name in names]
+    named += [("inclusion", name) for name in constants["MEASURE_FACTORIES"]]
+    missing = [f"{layer}.{name}" for layer, name in named
+               if not callable(getattr(importlib.import_module(
+                   f"roughpart.{layer}"), name, None))]
+    assert missing == []
+
+
+@pytest.mark.parametrize("measure", (
+    kappa_k0(), kappa_k1(), kappa_k2(), kappa_st("1/5", "4/5"),
+    kappa_st("1/5", "4/5", kappa_k1()), kappa_st("1/4", "3/4", kappa_k2())),
+    ids=InclusionFn.describe)
+def test_a_measure_rebuilt_positionally_is_equal(measure):
+    rebuilt = InclusionFn(measure.tag, measure.fn, measure.parameters)
+    assert rebuilt == measure
+    assert rebuilt.describe() == measure.describe()

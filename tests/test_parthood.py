@@ -9,6 +9,7 @@ from roughpart import (
     PARTHOOD_TAGS,
     PROPERTY_NAMES,
     ESet,
+    Granulation,
     Universe,
     analyze_properties,
     build_parthood,
@@ -205,6 +206,16 @@ def test_designated_parts_must_be_granules(std):
     stray = std.universe.subset(("x1", "x3"))
     with pytest.raises(ValueError, match="not in the granulation"):
         _standard("st", std, tset=(stray,))
+
+
+def test_designated_parts_from_another_universe_are_refused():
+    """A granule of another universe is refused even when its mask is
+    the mask of a granule here."""
+    u = Universe(("a", "b"))
+    g = Granulation.of(u, [["a"], ["b"]])
+    h = Universe(("x", "y", "z")).subset(["x"])
+    with pytest.raises(ValueError, match="not in the granulation"):
+        build_parthood("st", u, g, tset=[h])
 
 
 def test_tag_and_universe_validation(std):
