@@ -17,7 +17,7 @@ bare failure.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -32,7 +32,6 @@ from .core import (
     _check_cap,
     binding,
     iter_bits,
-    iter_submasks,
 )
 from .approx import require_alpha, require_grade, vprs_tables
 from .inclusion import InclusionFn, kappa_k0
@@ -138,11 +137,41 @@ def _preorder_rows(img: Sequence[int]) -> list[int]:
     return [above[value] for value in img]
 
 
-def _supersets(size: int) -> list[int]:
-    """Entry ``a`` is the bitset of every superset of mask ``a``."""
-    full = (1 << size) - 1
-    return [sum(1 << (a | s) for s in iter_submasks(full & ~a))
-            for a in range(full + 1)]
+@functools.cache
+def _bit_planes(size: int) -> tuple[dict[int, tuple[int, int]],
+                                    tuple[int, ...]]:
+    """Bitsets over the masks of a ``size``-element universe. The first
+    maps each one-element mask to the masks that hold it and the masks
+    that do not; entry ``a`` of the second is every superset of ``a``."""
+    masks = range(1 << size)
+    everything = (1 << len(masks)) - 1
+    planes = {}
+    for i in range(size):
+        high = sum(1 << m for m in masks if m >> i & 1)
+        planes[1 << i] = (high, everything ^ high)
+    up = [everything]
+    for a in masks[1:]:
+        up.append(up[a & (a - 1)] & planes[a & -a][0])
+    return planes, tuple(up)
+
+
+def _join_escapes(line: int, p: int,
+                  planes: dict[int, tuple[int, int]]) -> Iterator[int]:
+    """The q after ``p`` in the bitset ``line`` whose join with ``p``
+    falls outside ``line``, ascending. One bit-plane fold per element of
+    ``p`` turns ``line`` into the bitset of its joins with ``p``, and the
+    pair loop runs only when some join is outside."""
+    joins, rest = line, p
+    while rest:
+        bit = rest & -rest
+        high, low = planes[bit]
+        joins = (joins & high) | ((joins & low) << bit)
+        rest ^= bit
+    if joins & ~line == 0:
+        return
+    for q in iter_bits(line & ~((2 << p) - 1)):
+        if not line >> (p | q) & 1:
+            yield q
 
 
 def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
@@ -175,7 +204,7 @@ def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
     masks = range(universe.full_mask + 1)
 
     pred: Callable[[int, int], bool]
-    if tag in ("s3", "s6", "s*", "st", "s7"):
+    if tag in ("s3", "s6", "s*", "st"):
         if tag == "s3":
             def pred(am, bm):
                 return (am & bm).bit_count() > k and am & ~bm == 0
@@ -186,30 +215,34 @@ def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
             def pred(am, bm):
                 proper = bm & ~am == 0 and bm != am
                 return (am & bm).bit_count() > k and not proper
-        elif tag == "st":
+        else:
             tmasks = tuple(h.mask for h in designated)
 
             def pred(am, bm):
                 return am & ~bm == 0 and any(t & ~am == 0 for t in tmasks)
-        else:
-            # Same intent as s5, rebuilt granule by granule instead of
-            # through the preorder of lower images; the two must agree.
-            lo = vprs_tables(granulation, kap, alpha).lower
-            reaches = kap.at_least(universe, 1 - alpha)
-            inside = [[g for g in granulation.masks
-                       if g & ~am == 0 and reaches(am, g)]
-                      for am in masks]
-
-            def pred(am, bm):
-                return all(g & ~lo[bm] == 0 for g in inside[am])
         rows = [sum(1 << bm for bm in masks if pred(am, bm))
                 for am in masks]
+    elif tag == "s7":
+        # Same intent as s5, rebuilt granule by granule instead of
+        # through the preorder of lower images; the two must agree. Row
+        # a is the meet, over the granules inside a that a reaches the
+        # precision on, of the sets whose lower image holds the granule.
+        lo = vprs_tables(granulation, kap, alpha).lower
+        reaches = kap.at_least(universe, 1 - alpha)
+        holding = {g: sum(1 << bm for bm in masks if g & ~lo[bm] == 0)
+                   for g in granulation.masks}
+        rows = []
+        for am in masks:
+            row = (1 << len(masks)) - 1
+            for g, bits in holding.items():
+                if g & ~am == 0 and reaches(am, g):
+                    row &= bits
+            rows.append(row)
     else:
         rows = _preorder_rows(_image(tag, ctx))
         if tag in _FLOOR_OF:
-            reaches = kap.at_least(universe, _FLOOR_OF[tag](alpha))
-            rows = [sum(1 << bm for bm in iter_bits(row) if reaches(am, bm))
-                    for am, row in enumerate(rows)]
+            floor = kap.floor_rows(universe, _FLOOR_OF[tag](alpha))
+            rows = [row & cut for row, cut in zip(rows, floor)]
 
     params = [("kappa", kap.describe()), ("alpha", str(alpha)),
               ("k", str(k))]
@@ -311,6 +344,24 @@ def _first_bits(cases: Iterable[tuple[int, ...]]
             yield (*fixed, (bits & -bits).bit_length() - 1)
 
 
+def _by_distinct_rows(rows: Sequence[int],
+                      fails_in: Callable[[int], Iterable[tuple[int, ...]]]
+                      ) -> Iterator[tuple[int, ...]]:
+    """``fails_in(m)`` for each mask m in turn, for a property whose
+    failures in row m exist or not by the row's value alone: a row equal
+    to one already swept without a failure is skipped."""
+    clean = set()
+    for m, row in enumerate(rows):
+        if row in clean:
+            continue
+        found = False
+        for case in fails_in(m):
+            found = True
+            yield case
+        if not found:
+            clean.add(row)
+
+
 def analyze_properties(relation: ParthoodRelation) -> PropertyProfile:
     """Check the framework conditions for a materialized relation.
 
@@ -324,17 +375,35 @@ def analyze_properties(relation: ParthoodRelation) -> PropertyProfile:
     eq = _rough_equal_rows(relation)
     masks = range(universe.full_mask + 1)
     rows = relation.rows
-    cols = [sum(1 << am for am in masks if rows[am] >> bm & 1)
-            for bm in masks]
-    row_bits = [list(iter_bits(row)) for row in rows]
-    col_bits = [list(iter_bits(col)) for col in cols]
-    up = _supersets(universe.size)
+    # Columns from the set bits of each distinct row and the sets that
+    # share it.
+    sharing: dict[int, int] = {}
+    for am, row in enumerate(rows):
+        sharing[row] = sharing.get(row, 0) | 1 << am
+    cols = [0] * len(rows)
+    for row, bits in sharing.items():
+        for bm in iter_bits(row):
+            cols[bm] |= bits
+    planes, up = _bit_planes(universe.size)
 
     def ev(m: int) -> ESet:
         return ESet(universe, m)
 
     def w(**kw: int) -> Witness:
         return tuple(binding(name, ev(m)) for name, m in kw.items())
+
+    # Failures of these three in row m exist or not by the row alone.
+    def unjoined(am: int) -> Iterator[tuple[int, ...]]:
+        return ((am, em, bm) for em in iter_bits(rows[am])
+                for bm in _join_escapes(rows[am], em, planes))
+
+    def left_escapes(bm: int) -> Iterator[tuple[int, ...]]:
+        return _first_bits((bm, am, rows[bm] & up[am] & ~rows[am])
+                           for am in iter_bits(rows[bm]))
+
+    def untransferred(am: int) -> Iterator[tuple[int, ...]]:
+        return _first_bits((am, bm, rows[bm] & ~rows[am])
+                           for bm in iter_bits(rows[am]))
 
     # Each property yields its failures lazily, in sorted pair order.
     failures: dict[str, Iterator[Witness]] = {
@@ -346,25 +415,21 @@ def analyze_properties(relation: ParthoodRelation) -> PropertyProfile:
             for m in masks)),
         # A failing join is symmetric in its two sets, so the first
         # witness of either join rule has b after its partner e or a.
-        "join-compatible": (
-            w(a=am, e=em, b=bm) for am in masks
-            for i, em in enumerate(row_bits[am])
-            for bm in row_bits[am][i + 1:] if not rows[am] >> (bm | em) & 1),
-        "l-euclidean": (w(a=a, b=b, e=e) for b, a, e in _first_bits(
-            (bm, am, rows[bm] & up[am] & ~rows[am])
-            for bm in masks for am in row_bits[bm])),
+        "join-compatible": (w(a=a, e=e, b=b) for a, e, b
+                            in _by_distinct_rows(rows, unjoined)),
+        "l-euclidean": (w(a=a, b=b, e=e) for b, a, e
+                        in _by_distinct_rows(rows, left_escapes)),
         "r-euclidean": (w(a=a, b=b, e=e) for a, b, e in _first_bits(
             (am, bm, cols[bm] & up[am] & ~rows[am])
-            for am in masks for bm in row_bits[am])),
+            for am in masks for bm in iter_bits(rows[am]))),
         "antisymmetric": (w(a=a, b=b) for a, b in _first_bits(
             (m, rows[m] & cols[m] & ~(1 << m)) for m in masks)),
         "join-stable": (
-            w(a=am, b=bm, e=em) for am in masks for em in row_bits[am]
-            for bm in col_bits[em][bisect_right(col_bits[em], am):]
-            if not cols[em] >> (am | bm) & 1),
-        "transitive": (w(a=a, b=b, c=c) for a, b, c in _first_bits(
-            (am, bm, rows[bm] & ~rows[am])
-            for am in masks for bm in row_bits[am])),
+            w(a=am, b=bm, e=em) for am in masks
+            for em in iter_bits(rows[am])
+            for bm in _join_escapes(cols[em], am, planes)),
+        "transitive": (w(a=a, b=b, c=c) for a, b, c
+                       in _by_distinct_rows(rows, untransferred)),
         "symmetric": (w(a=a, b=b) for a, b in _first_bits(
             (m, rows[m] & ~cols[m]) for m in masks)),
     }

@@ -544,18 +544,6 @@ def _s5_s7_check(fixture: Fixture, kap: InclusionFn,
     return [_Eval("s5-equals-s7", (universe.full_mask + 1) ** 2, ces)]
 
 
-@functools.cache
-def _floor_rows(universe: Universe, kap: InclusionFn,
-                alpha: Fraction) -> tuple[int, ...]:
-    """Bit ``b`` of row ``a`` is set when the measure reaches ``alpha`` on
-    (a, b). It spans every pair of the universe, whatever the granulation,
-    so fixtures over one universe share it."""
-    masks = range(universe.full_mask + 1)
-    reaches = kap.at_least(universe, alpha)
-    return tuple(sum(1 << bm for bm in masks if reaches(am, bm))
-                 for am in masks)
-
-
 def _s0u_from_pu_check(fixture: Fixture, kap: InclusionFn,
                        alpha: Fraction) -> list[_Eval]:
     """s0u rebuilt as the pu preorder cut by the measure floor."""
@@ -564,7 +552,7 @@ def _s0u_from_pu_check(fixture: Fixture, kap: InclusionFn,
     r0u = build_parthood("s0u", universe, g, kappa=kap, alpha=alpha)
     rpu = build_parthood("pu", universe, g, kappa=kap, alpha=alpha)
     derived = [row & cut for row, cut in
-               zip(rpu.rows, _floor_rows(universe, kap, alpha))]
+               zip(rpu.rows, kap.floor_rows(universe, alpha))]
     ces = (Counterexample(fixture.name, kap.describe(), str(alpha),
                           _wit(universe, a=am, b=bm))
            for am, bm in _row_diff(r0u.rows, derived))

@@ -330,11 +330,17 @@ def test_rank_sweep_agrees_with_instance_evaluation(kappa):
                     == check_axiom(plain, axiom, universe, delta=delta)
 
 
+def _row_pairs(rows):
+    return {(am, bm) for am, row in enumerate(rows)
+            for bm in range(len(rows)) if row >> bm & 1}
+
+
 @pytest.mark.parametrize("kappa", _SHIPPED, ids=InclusionFn.describe)
 def test_threshold_tests_agree_with_the_measure(kappa):
-    """``at_least`` against the ``Fraction`` values on every pair, at every
-    value of the measure, every midpoint between two, and 0 and 1, plus
-    one threshold below and one above the unit interval."""
+    """``at_least`` and the ``floor_rows`` table against the ``Fraction``
+    values on every pair, at every value of the measure, every midpoint
+    between two, and 0 and 1, plus one threshold below and one above the
+    unit interval."""
     for size in range(6):
         universe = Universe(tuple("pqrst"[:size]))
         sets = list(universe.subsets())
@@ -351,6 +357,8 @@ def test_threshold_tests_agree_with_the_measure(kappa):
                         if (v > theta if strict else v >= theta)}
                 assert {pair for pair in vals if test(*pair)} == want, \
                     (size, theta, strict)
+                rows = kappa.floor_rows(universe, theta, strict=strict)
+                assert _row_pairs(rows) == want, (size, theta, strict)
 
 
 def test_measures_without_a_cardinality_form_stay_on_their_function():
@@ -374,11 +382,13 @@ def test_measures_without_a_cardinality_form_stay_on_their_function():
                       Fraction(1)):
             for strict in (False, True):
                 test = kappa.at_least(u, theta, strict=strict)
-                for a in sets:
-                    for b in sets:
-                        v = kappa(a, b)
-                        assert test(a.mask, b.mask) == (
-                            v > theta if strict else v >= theta)
+                want = {(a.mask, b.mask) for a in sets for b in sets
+                        if (kappa(a, b) > theta if strict
+                            else kappa(a, b) >= theta)}
+                assert {(a.mask, b.mask) for a in sets for b in sets
+                        if test(a.mask, b.mask)} == want
+                assert _row_pairs(kappa.floor_rows(u, theta,
+                                                   strict=strict)) == want
     assert any(swapped(u, a.mask, b.mask) != k0(a, b)
                for a in sets for b in sets)
 

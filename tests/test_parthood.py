@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from roughpart import (
     PROPERTY_NAMES,
     ESet,
     Granulation,
+    ParthoodRelation,
     Universe,
     analyze_properties,
     build_parthood,
@@ -17,6 +19,7 @@ from roughpart import (
     equalizers,
     eval_k0,
     kappa_k0,
+    random_granulation,
     vprs_lower,
     vprs_star_lower,
     vprs_upper,
@@ -436,3 +439,53 @@ def test_property_profile_matches_plain_sweeps(tuned, tag, flips):
         got = [(s.name, s.status, s.witness, s.condition)
                for s in profile.statuses]
         assert got == plain_profile(relation, held, 3), relation.tag
+
+
+def plain_join_witnesses(rows):
+    """The first witness of each join rule by plain pair loops: over the
+    pairs of each row for join-compatible, and over the pairs of each
+    column for join-stable, each pair once with b after its partner."""
+    masks = range(len(rows))
+    cols = [sum(1 << am for am in masks if rows[am] >> bm & 1)
+            for bm in masks]
+    row_bits = [[bm for bm in masks if row >> bm & 1] for row in rows]
+    col_bits = [[am for am in masks if col >> am & 1] for col in cols]
+    compatible = ((am, em, bm) for am in masks
+                  for i, em in enumerate(row_bits[am])
+                  for bm in row_bits[am][i + 1:]
+                  if not rows[am] >> (bm | em) & 1)
+    stable = ((am, bm, em) for am in masks for em in row_bits[am]
+              for bm in col_bits[em] if bm > am
+              and not cols[em] >> (am | bm) & 1)
+    return {"join-compatible": (("a", "e", "b"), next(compatible, None)),
+            "join-stable": (("a", "b", "e"), next(stable, None))}
+
+
+def test_join_rules_match_plain_pair_loops_on_seven_elements():
+    """The analyzer screens each join rule with a bit-plane fold before
+    it loops over pairs. On a seeded granulation of seven elements, four
+    built relations and a near miss of one (a few pairs flipped) give the
+    statuses and first witnesses of the plain pair loops."""
+    u = Universe(tuple(f"e{i}" for i in range(7)))
+    g = random_granulation(u, random.Random(7))
+    relations = [build_parthood(tag, u, g, kappa=kappa_k0(),
+                                alpha=Fraction(1, 5), k=1)
+                 for tag in ("s5", "s*", "pu", "s0u")]
+    rows = list(relations[0].rows)
+    for am, bm in ((3, 7), (12, 45), (64, 127), (5, 96)):
+        rows[am] ^= 1 << bm
+    relations.append(ParthoodRelation("custom", u, tuple(rows)))
+    seen = set()
+    for relation in relations:
+        profile = analyze_properties(relation)
+        for name, (names, plain) in plain_join_witnesses(
+                relation.rows).items():
+            status = profile.status(name)
+            seen.add(status.status)
+            if plain is None:
+                assert (status.status, status.witness) == ("holds", None)
+            else:
+                assert status.status == "fails", (relation.tag, name)
+                assert status.witness == tuple(
+                    binding(var, ESet(u, m)) for var, m in zip(names, plain))
+    assert seen == {"holds", "fails"}

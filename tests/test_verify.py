@@ -203,13 +203,19 @@ def test_suites_share_one_rank_table_per_measure_and_size():
     universe size): K0 on sizes 1 to 6 (the RV and RI sweeps), K1 and K2
     on 3 to 5 (prif), Kst(1/5,4/5) on 3 to 6 and Kst(1/5,1) on 5 make 17
     tables. Every cache that holds results read off the tables starts
-    empty, so each table is asked for."""
+    empty, so each table is asked for.
+
+    The measure floors of s0u read one floor table per (measure, size,
+    rank cut): the four precisions fall into 2 to 4 cuts for each of K0
+    and Kst(1/5,4/5) on sizes 3 to 6, 22 tables, and the s0l claim on
+    the standard fixture (K0 at 7/10 on four elements) adds one."""
     for cached in (inclusion._rank_table, approx._vprs_tables,
                    verify._kappa_from_tag, verify._class_tags,
-                   verify._ri_gate, verify._floor_rows):
+                   verify._ri_gate, inclusion._floor_rows):
         cached.cache_clear()
     run_theorem_suite("all", random_count=4)
     assert inclusion._rank_table.cache_info().misses == 17
+    assert inclusion._floor_rows.cache_info().misses == 23
 
 
 def test_s0u_from_pu_refutes_a_changed_floor(monkeypatch):
