@@ -95,20 +95,18 @@ class InclusionFn:
         cut = (bisect_right if strict else bisect_left)(values, theta)
         return lambda am, bm: rank(am, bm) >= cut
 
-    def floor_rows(self, universe: Universe, theta: Fraction, *,
-                   strict: bool = False) -> tuple[int, ...]:
-        """The threshold test of :meth:`at_least` over every pair, as
-        bitset rows: bit ``b`` of row ``a`` is set exactly when
-        ``kappa(a, b) >= theta`` (``>`` when ``strict``). An invariant
-        measure reads one cached table per (measure, size, rank cut)."""
-        if self.invariant:
-            values, _ = _rank_table(self.fn, universe.size)
-            cut = (bisect_right if strict else bisect_left)(values, theta)
-            return _floor_rows(self.fn, universe.size, cut)
-        test = self.at_least(universe, theta, strict=strict)
-        masks = range(universe.full_mask + 1)
-        return tuple(sum(1 << bm for bm in masks if test(am, bm))
-                     for am in masks)
+    def floor_rows(self, universe: Universe,
+                   theta: Fraction) -> tuple[int, ...]:
+        """The test of :meth:`at_least` over every pair, as bitset rows:
+        bit ``b`` of row ``a`` is set exactly when ``kappa(a, b) >=
+        theta``. An invariant measure builds one table per (measure,
+        size, rank cut) from its Venn counts; any other evaluates every
+        pair once per (measure, universe, threshold)."""
+        if not self.invariant:
+            return _plain_floor_rows(self, universe, theta)
+        values, _ = _rank_table(self.fn, universe.size)
+        return _floor_rows(self.fn, universe.size,
+                           bisect_left(values, theta))
 
     def describe(self) -> str:
         if not self.parameters:
@@ -177,6 +175,17 @@ def _floor_rows(fn: MaskFn, size: int, cut: int) -> tuple[int, ...]:
         rows.append(sum(outside[sm.bit_count()] << sm
                         for sm in iter_submasks(am)))
     return tuple(rows)
+
+
+@functools.cache
+def _plain_floor_rows(kappa: InclusionFn, universe: Universe,
+                      theta: Fraction) -> tuple[int, ...]:
+    """:meth:`InclusionFn.floor_rows` of a measure not flagged
+    invariant, one ``Fraction`` value per pair."""
+    reaches = kappa.at_least(universe, theta)
+    masks = range(universe.full_mask + 1)
+    return tuple(sum(1 << bm for bm in masks if reaches(am, bm))
+                 for am in masks)
 
 
 def _same_universe(a: ESet, b: ESet) -> None:

@@ -241,8 +241,16 @@ def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
     else:
         rows = _preorder_rows(_image(tag, ctx))
         if tag in _FLOOR_OF:
-            floor = kap.floor_rows(universe, _FLOOR_OF[tag](alpha))
-            rows = [row & cut for row, cut in zip(rows, floor)]
+            theta = _FLOOR_OF[tag](alpha)
+            if kap.invariant:
+                floor = kap.floor_rows(universe, theta)
+                rows = [row & cut for row, cut in zip(rows, floor)]
+            else:
+                # Only the preorder's pairs, not the whole floor table.
+                reaches = kap.at_least(universe, theta)
+                rows = [sum(1 << bm for bm in iter_bits(row)
+                            if reaches(am, bm))
+                        for am, row in enumerate(rows)]
 
     params = [("kappa", kap.describe()), ("alpha", str(alpha)),
               ("k", str(k))]

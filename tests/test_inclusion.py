@@ -340,7 +340,8 @@ def test_threshold_tests_agree_with_the_measure(kappa):
     """``at_least`` and the ``floor_rows`` table against the ``Fraction``
     values on every pair, at every value of the measure, every midpoint
     between two, and 0 and 1, plus one threshold below and one above the
-    unit interval."""
+    unit interval. The table is the non-strict cut; the strict one is
+    ``at_least`` alone."""
     for size in range(6):
         universe = Universe(tuple("pqrst"[:size]))
         sets = list(universe.subsets())
@@ -357,8 +358,9 @@ def test_threshold_tests_agree_with_the_measure(kappa):
                         if (v > theta if strict else v >= theta)}
                 assert {pair for pair in vals if test(*pair)} == want, \
                     (size, theta, strict)
-                rows = kappa.floor_rows(universe, theta, strict=strict)
-                assert _row_pairs(rows) == want, (size, theta, strict)
+                if not strict:
+                    rows = kappa.floor_rows(universe, theta)
+                    assert _row_pairs(rows) == want, (size, theta)
 
 
 def test_measures_without_a_cardinality_form_stay_on_their_function():
@@ -387,8 +389,8 @@ def test_measures_without_a_cardinality_form_stay_on_their_function():
                             else kappa(a, b) >= theta)}
                 assert {(a.mask, b.mask) for a in sets for b in sets
                         if test(a.mask, b.mask)} == want
-                assert _row_pairs(kappa.floor_rows(u, theta,
-                                                   strict=strict)) == want
+                if not strict:
+                    assert _row_pairs(kappa.floor_rows(u, theta)) == want
     assert any(swapped(u, a.mask, b.mask) != k0(a, b)
                for a in sets for b in sets)
 

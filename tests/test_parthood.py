@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -19,6 +20,8 @@ from roughpart import (
     equalizers,
     eval_k0,
     kappa_k0,
+    kappa_k1,
+    kappa_st,
     random_granulation,
     vprs_lower,
     vprs_star_lower,
@@ -265,6 +268,28 @@ def plain_parthood(tag, u, g, kappa, alpha, k, tset):
         "pu": lambda a, b: up[a] <= up[b],
     }[tag]
     return {(a.mask, b.mask) for a in subs for b in subs if pred(a, b)}
+
+
+@pytest.mark.parametrize("tag", ["s0l", "s0u"])
+def test_measure_floor_not_flagged_invariant_matches_a_plain_double_loop(tag):
+    """A measure not flagged invariant cuts the preorder pair by pair,
+    not through a floor table; the relation is the plain double loop's
+    and the one its invariant twin builds."""
+    u = Universe(tuple(f"e{i}" for i in range(4)))
+    g = random_granulation(u, random.Random(3))
+    cut = False
+    for kappa in (kappa_k0(), kappa_st("1/5", "4/5", kappa_k1())):
+        plain = dataclasses.replace(kappa, invariant=False)
+        assert kappa.invariant and not plain.invariant
+        for alpha in (Fraction(0), Fraction(1, 5), Fraction(2, 5)):
+            rel = build_parthood(tag, u, g, kappa=plain, alpha=alpha)
+            want = plain_parthood(tag, u, g, plain, alpha, 0, ())
+            assert set(rel.pairs) == want, (kappa, alpha)
+            assert rel.rows == build_parthood(tag, u, g, kappa=kappa,
+                                              alpha=alpha).rows
+            image = "s5" if tag == "s0l" else "pu"
+            cut |= want != plain_parthood(image, u, g, plain, alpha, 0, ())
+    assert cut
 
 
 @settings(max_examples=40, deadline=None)
