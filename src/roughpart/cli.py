@@ -285,10 +285,6 @@ def cmd_approx(args: argparse.Namespace) -> int:
     _reject_unknown(spec, ("universe", "granules", "relation", "kappa",
                            "alpha", "k", "sets", "operators"), "")
     universe = _get_universe(spec)
-    if universe.size == 0:
-        _emit(args, ("set",), (), {"columns": [], "rows": []})
-        return 0
-    granulation, neighborhoods = _get_granulation(spec, universe)
     kappa = _get_kappa(spec)
     alpha = _get_alpha(spec)
     k = _get_grade(spec)
@@ -298,7 +294,12 @@ def cmd_approx(args: argparse.Namespace) -> int:
             if op not in OPERATOR_IDS:
                 _fail(f"unknown operator {op!r}; valid identifiers: "
                       f"{', '.join(OPERATOR_IDS)}", f"/operators/{i}")
-    else:
+    sets = _get_sets(spec, universe)
+    if universe.size == 0:
+        _emit(args, ("set",), (), {"columns": [], "rows": []})
+        return 0
+    granulation, neighborhoods = _get_granulation(spec, universe)
+    if "operators" not in spec:
         operators = [op for op in OPERATOR_IDS
                      if neighborhoods or op not in _POINTWISE_OPS]
     if not neighborhoods:
@@ -306,7 +307,6 @@ def cmd_approx(args: argparse.Namespace) -> int:
             if op in _POINTWISE_OPS:
                 _fail(f"operator {op!r} needs a relation, not explicit "
                       "granules", f"/operators/{i}")
-    sets = _get_sets(spec, universe)
     approx = ApproxSpec(granulation, kappa, alpha, k,
                         neighborhoods or None)
     fns = [approx.operator(op) for op in operators]
@@ -328,10 +328,6 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     spec = _load_spec(args.spec)
     _reject_unknown(spec, ("universe", "kappa", "axioms", "delta"), "")
     universe = _get_universe(spec)
-    if universe.size == 0:
-        _emit(args, ("axiom", "holds", "witness"), (),
-              {"classes": [], "axioms": []})
-        return 0
     kappa = _get_kappa(spec)
     if "axioms" in spec:
         axioms = _str_list(spec["axioms"], "/axioms")
@@ -346,6 +342,10 @@ def cmd_axioms(args: argparse.Namespace) -> int:
         delta = _fraction(spec["delta"], "/delta")
         if not 0 <= delta <= 1:
             _fail("threshold must lie in [0, 1]", "/delta")
+    if universe.size == 0:
+        _emit(args, ("axiom", "holds", "witness"), (),
+              {"classes": [], "axioms": []})
+        return 0
     reports = [check_axiom(kappa, axiom, universe,
                            delta=delta if axiom in SWEPT_AXIOMS else None)
                for axiom in axioms]
@@ -387,14 +387,9 @@ def cmd_parthood(args: argparse.Namespace) -> int:
     _reject_unknown(spec, ("universe", "granules", "relation", "kappa",
                            "alpha", "k", "tags", "tset", "properties"), "")
     universe = _get_universe(spec)
-    if universe.size == 0:
-        _emit(args, ("tag", "pairs"), (), {"relations": []})
-        return 0
-    granulation, _ = _get_granulation(spec, universe)
     kappa = _get_kappa(spec)
     alpha = _get_alpha(spec)
     k = _get_grade(spec)
-    tset = _get_tset(spec, universe, granulation, "/tset")
     if "tags" in spec:
         tags = _str_list(spec["tags"], "/tags")
         for i, tag in enumerate(tags):
@@ -402,12 +397,17 @@ def cmd_parthood(args: argparse.Namespace) -> int:
                 _fail(f"unknown parthood tag {tag!r}; valid identifiers: "
                       f"{', '.join(PARTHOOD_TAGS)}", f"/tags/{i}")
     else:
-        tags = [t for t in PARTHOOD_TAGS if t != "st" or tset is not None]
-    if "st" in tags and tset is None:
+        tags = [t for t in PARTHOOD_TAGS if t != "st" or "tset" in spec]
+    if "st" in tags and "tset" not in spec:
         _fail("field is required when tags include 'st'", "/tset")
     want_properties = spec.get("properties", False)
     if not isinstance(want_properties, bool):
         _fail("expected true or false", "/properties")
+    if universe.size == 0:
+        _emit(args, ("tag", "pairs"), (), {"relations": []})
+        return 0
+    granulation, _ = _get_granulation(spec, universe)
+    tset = _get_tset(spec, universe, granulation, "/tset")
     table_rows = []
     json_relations = []
     for tag in tags:
@@ -442,11 +442,6 @@ def cmd_rational(args: argparse.Namespace) -> int:
     _reject_unknown(spec, ("universe", "granules", "relation", "kappa",
                            "alpha", "mode", "substantial", "sets"), "")
     universe = _get_universe(spec)
-    if universe.size == 0:
-        _emit(args, ("set", "kind", "defined", "trivial", "value"), (),
-              {"points": []})
-        return 0
-    granulation, _ = _get_granulation(spec, universe)
     kappa = _get_kappa(spec)
     alpha = _get_alpha(spec)
     mode = spec.get("mode", "substantial")
@@ -463,14 +458,19 @@ def cmd_rational(args: argparse.Namespace) -> int:
         _fail(f"tag must be one of {', '.join(PARTHOOD_TAGS)}",
               "/substantial/tag")
     sub_k = _get_grade(sub, "/substantial")
-    sub_tset = _get_tset(sub, universe, granulation, "/substantial/tset")
-    if tag == "st" and sub_tset is None:
+    if tag == "st" and "tset" not in sub:
         _fail("field is required when the tag is 'st'", "/substantial/tset")
+    sets = _get_sets(spec, universe)
+    if universe.size == 0:
+        _emit(args, ("set", "kind", "defined", "trivial", "value"), (),
+              {"points": []})
+        return 0
+    granulation, _ = _get_granulation(spec, universe)
+    sub_tset = _get_tset(sub, universe, granulation, "/substantial/tset")
     substantial = build_parthood(tag, universe, granulation, kappa=kappa,
                                  alpha=alpha, k=sub_k, tset=sub_tset)
     tables = vprs_tables(granulation, kappa, alpha)
     lo, up = tables.lower, tables.upper
-    sets = _get_sets(spec, universe)
     definites = _nonempty_definites(universe, lo)
     table_rows = []
     json_points = []
@@ -509,13 +509,13 @@ def cmd_correspond(args: argparse.Namespace) -> int:
     _reject_unknown(spec, ("universe", "granules", "relation", "alpha",
                            "k"), "")
     universe = _get_universe(spec)
+    alpha = _get_alpha(spec)
+    k = _get_grade(spec)
     if universe.size == 0:
         _emit(args, ("side", "threshold", "grade", "members", "verified"),
               (), {"blocks": [], "nonrepresentability": None})
         return 0
     granulation, _ = _get_granulation(spec, universe)
-    alpha = _get_alpha(spec)
-    k = _get_grade(spec)
     table_rows = []
     json_blocks = []
     for side, build in (("upper", build_upper_correspondence),

@@ -203,6 +203,30 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
+def venn_rows(size: int, test: Callable[[int, int, int], bool]
+              ) -> tuple[int, ...]:
+    """Bitset rows over the masks of a ``size``-element universe: bit
+    ``b`` of row ``a`` is set exactly when ``test(|a|, |a∩b|, |b∖a|)``.
+
+    A pair (a, b) splits b into the disjoint s = a∩b and t = b∖a, so b
+    is the sum s + t. Row a is the sum, over the submasks s of a, of
+    the bitset of the t inside the complement of a whose counts pass,
+    shifted left by s: O(3^n) steps instead of a test per pair."""
+    passes = [[[test(p, i, y) for y in range(size - p + 1)]
+               for i in range(p + 1)] for p in range(size + 1)]
+    full = (1 << size) - 1
+    rows = []
+    for am in range(full + 1):
+        by_size = [0] * (size - am.bit_count() + 1)
+        for tm in iter_submasks(full & ~am):
+            by_size[tm.bit_count()] |= 1 << tm
+        outside = [sum(bits for bits, ok in zip(by_size, row) if ok)
+                   for row in passes[am.bit_count()]]
+        rows.append(sum(outside[sm.bit_count()] << sm
+                        for sm in iter_submasks(am)))
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class Granulation:
     """An ordered tuple of distinct nonempty granules over one universe."""

@@ -34,6 +34,7 @@ from .core import (
     _sweep_report,
     binding,
     iter_submasks,
+    venn_rows,
 )
 
 ZERO = Fraction(0)
@@ -149,32 +150,12 @@ def _rank_table(fn: MaskFn, size: int
 @functools.cache
 def _floor_rows(fn: MaskFn, size: int, cut: int) -> tuple[int, ...]:
     """Bitset rows of the pairs whose rank under the invariant measure
-    ``fn`` is at least ``cut``, built from the Venn counts.
-
-    A pair (a, b) splits b into s = a∩b and t = b∖a, and b = s | t is
-    the sum s + t since the two are disjoint. For a set a of p elements
-    the rank table says which counts (|s|, |t|) pass, so row a is the
-    sum, over the submasks s of a, of the bitset of the t inside the
-    complement of a with a passing |t|, shifted left by s: O(3^n)
-    steps instead of a rank lookup per pair."""
+    ``fn`` is at least ``cut``, from the Venn counts: counts (p, i, y)
+    pass when the rank at a canonical p-element set and a set meeting
+    it in i elements and leaving it by y reaches the cut."""
     _, rank = _rank_table(fn, size)
-    # passes[p][i][y]: the counts (i, y) pass at a canonical p-element
-    # set and a set meeting it in i elements and leaving it by y.
-    passes = [[[rank((1 << p) - 1,
-                     ((1 << i) - 1) | (((1 << y) - 1) << p)) >= cut
-                for y in range(size - p + 1)] for i in range(p + 1)]
-              for p in range(size + 1)]
-    full = (1 << size) - 1
-    rows = []
-    for am in range(full + 1):
-        by_size = [0] * (size - am.bit_count() + 1)
-        for tm in iter_submasks(full & ~am):
-            by_size[tm.bit_count()] |= 1 << tm
-        outside = [sum(bits for bits, ok in zip(by_size, row) if ok)
-                   for row in passes[am.bit_count()]]
-        rows.append(sum(outside[sm.bit_count()] << sm
-                        for sm in iter_submasks(am)))
-    return tuple(rows)
+    return venn_rows(size, lambda p, i, y: rank(
+        (1 << p) - 1, ((1 << i) - 1) | (((1 << y) - 1) << p)) >= cut)
 
 
 @functools.cache
@@ -234,24 +215,9 @@ def kappa_k2() -> InclusionFn:
     return _K2
 
 
-def eval_k0(a: ESet, b: ESet) -> Fraction:
-    _same_universe(a, b)
-    return _k0_masks(a.universe, a.mask, b.mask)
-
-
-def eval_k1(a: ESet, b: ESet) -> Fraction:
-    _same_universe(a, b)
-    return _k1_masks(a.universe, a.mask, b.mask)
-
-
-def eval_k2(a: ESet, b: ESet) -> Fraction:
-    _same_universe(a, b)
-    return _k2_masks(a.universe, a.mask, b.mask)
-
-
 def eval_classification_error(a: ESet, b: ESet) -> Fraction:
-    """Complement of :func:`eval_k0`: the share of ``a`` outside ``b``."""
-    return ONE - eval_k0(a, b)
+    """Complement of ``K0``: the share of ``a`` outside ``b``."""
+    return ONE - _K0(a, b)
 
 
 def _validate_thresholds(s: Fraction, t: Fraction) -> None:
@@ -283,12 +249,6 @@ def kappa_st(s: Fraction | int | str, t: Fraction | int | str,
     return InclusionFn("Kst", fn,
                        (("s", str(s)), ("t", str(t)), ("base", inner.tag)),
                        inner.invariant)
-
-
-def eval_kst(a: ESet, b: ESet, s: Fraction | int | str,
-             t: Fraction | int | str,
-             base: InclusionFn | None = None) -> Fraction:
-    return kappa_st(s, t, base)(a, b)
 
 
 _SIDES = ("l", "u")

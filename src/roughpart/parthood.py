@@ -32,6 +32,7 @@ from .core import (
     _check_cap,
     binding,
     iter_bits,
+    venn_rows,
 )
 from .approx import require_alpha, require_grade, vprs_tables
 from .inclusion import InclusionFn, kappa_k0
@@ -51,6 +52,10 @@ _IMAGE_OF = {"s5": "lower", "s7": "lower", "s0l": "lower",
              "s9": "profile"}
 # s0l and s0u also hold the measure to a floor set by the precision.
 _FLOOR_OF = {"s0l": lambda alpha: 1 - alpha, "s0u": lambda alpha: alpha}
+# s3 and s* as tests at grade k on the Venn counts p = |a|, i = |a∩b|,
+# y = |b∖a|: a inside b for s3, b no proper subset of a for s*.
+_VENN_OF = {"s3": lambda k: lambda p, i, y: i > k and i == p,
+            "s*": lambda k: lambda p, i, y: i > k and (y > 0 or i == p)}
 
 
 @dataclass(frozen=True)
@@ -203,25 +208,15 @@ def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
     ctx = BuildContext(granulation, kap, alpha, k, designated)
     masks = range(universe.full_mask + 1)
 
-    pred: Callable[[int, int], bool]
-    if tag in ("s3", "s6", "s*", "st"):
-        if tag == "s3":
-            def pred(am, bm):
-                return (am & bm).bit_count() > k and am & ~bm == 0
-        elif tag == "s6":
-            def pred(am, bm):
-                return am & ~bm == 0 and am.bit_count() > k
-        elif tag == "s*":
-            def pred(am, bm):
-                proper = bm & ~am == 0 and bm != am
-                return (am & bm).bit_count() > k and not proper
-        else:
-            tmasks = tuple(h.mask for h in designated)
-
-            def pred(am, bm):
-                return am & ~bm == 0 and any(t & ~am == 0 for t in tmasks)
-        rows = [sum(1 << bm for bm in masks if pred(am, bm))
-                for am in masks]
+    if tag in _VENN_OF:
+        rows = venn_rows(universe.size, _VENN_OF[tag](k))
+    elif tag == "s6":
+        rows = [row if am.bit_count() > k else 0
+                for am, row in enumerate(_bit_planes(universe.size)[1])]
+    elif tag == "st":
+        tmasks = tuple(h.mask for h in designated)
+        rows = [row if any(t & ~am == 0 for t in tmasks) else 0
+                for am, row in enumerate(_bit_planes(universe.size)[1])]
     elif tag == "s7":
         # Same intent as s5, rebuilt granule by granule instead of
         # through the preorder of lower images; the two must agree. Row

@@ -206,6 +206,26 @@ def test_empty_universe_yields_header_only(tmp_path, capsys):
     assert out == "| set |\n| --- |\n"
 
 
+@pytest.mark.parametrize("command, field, pointer", [
+    ("approx", {"kappa": "bogus"}, "/kappa"),
+    ("axioms", {"delta": "3/2"}, "/delta"),
+    ("parthood", {"tags": ["s4"]}, "/tags/0"),
+    ("rational", {"substantial": 3}, "/substantial"),
+    ("correspond", {"alpha": "9/10"}, "/alpha"),
+])
+def test_empty_universe_still_validates_its_fields(tmp_path, capsys, command,
+                                                   field, pointer):
+    """A bad field is refused at the same pointer whether the universe is
+    empty or not."""
+    nonempty = {"universe": STANDARD["universe"]} if command == "axioms" \
+        else STANDARD
+    for base in ({"universe": []}, nonempty):
+        spec = write_spec(tmp_path, {**base, **field})
+        code, out, err = run(capsys, command, "--spec", spec)
+        assert code == 2 and out == ""
+        assert err.endswith(f" at {pointer}\n"), err
+
+
 def test_parthood_sizes(tmp_path, capsys):
     spec = write_spec(tmp_path, {
         **STANDARD, "alpha": "3/10", "k": 1,

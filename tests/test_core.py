@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from roughpart import (
     vprs_upper,
 )
 from roughpart.approx import require_alpha
+from roughpart.core import venn_rows
 from conftest import operator_pairs
 
 U6 = Universe(("a", "b", "c", "d", "e", "f"))
@@ -304,3 +306,27 @@ def test_thresholds_are_exact(call):
         with pytest.raises(ValueError, match="expected a fraction string"):
             call(bad)
 
+
+
+_RANDOM_COUNTS = random.Random(5)
+_VENN_TABLE = {(p, i, y): _RANDOM_COUNTS.random() < 0.5
+               for p in range(6) for i in range(6) for y in range(6)}
+
+
+@pytest.mark.parametrize("test", [
+    lambda p, i, y: i == p,
+    lambda p, i, y: y > 0 or i == p,
+    lambda p, i, y: i > 2 * y,
+    lambda p, i, y: (p + 2 * i + 3 * y) % 4 == 1,
+    lambda p, i, y: _VENN_TABLE[p, i, y],
+], ids=["inside", "not-proper-subset", "meet-outweighs", "mod-4", "table"])
+def test_venn_rows_match_a_plain_double_loop(test):
+    """Bit b of row a is set exactly when the test holds at (|a|, |a∩b|,
+    |b∖a|), for every pair of every universe of up to five elements."""
+    for size in range(6):
+        masks = range(1 << size)
+        assert venn_rows(size, test) == tuple(
+            sum(1 << bm for bm in masks
+                if test(am.bit_count(), (am & bm).bit_count(),
+                        (bm & ~am).bit_count()))
+            for am in masks), size

@@ -19,10 +19,6 @@ from roughpart import (
     eval_bgrif,
     eval_cgrif,
     eval_classification_error,
-    eval_k0,
-    eval_k1,
-    eval_k2,
-    eval_kst,
     evaluate_axiom_instance,
     classical_lower,
     classical_upper,
@@ -40,16 +36,16 @@ def test_share_measure_spot_values(std):
     s = subsets_by_label(std)
     g1 = std.universe.subset(("x1", "x2"))
     g4 = std.universe.subset(("x4",))
-    assert eval_k0(s["{x1,x4}"], g1) == Fraction(1, 2)
-    assert eval_k0(s["{x1,x2,x3,x4}"], g4) == Fraction(1, 4)
-    assert eval_k0(std.universe.empty, g1) == 1
+    assert kappa_k0()(s["{x1,x4}"], g1) == Fraction(1, 2)
+    assert kappa_k0()(s["{x1,x2,x3,x4}"], g4) == Fraction(1, 4)
+    assert kappa_k0()(std.universe.empty, g1) == 1
 
 
 def test_union_and_complement_measures_spot_values(std):
     s = subsets_by_label(std)
     a, b = s["{x1,x2}"], s["{x2,x3}"]
-    assert eval_k1(a, b) == Fraction(2, 3)
-    assert eval_k2(a, b) == Fraction(3, 4)
+    assert kappa_k1()(a, b) == Fraction(2, 3)
+    assert kappa_k2()(a, b) == Fraction(3, 4)
     assert eval_classification_error(a, b) == Fraction(1, 2)
     assert dependence_degree(a, b) == 0
 
@@ -58,9 +54,9 @@ def test_two_threshold_rescaling():
     u = Universe(("x1", "x2", "x3", "x4"))
     a = u.subset(("x1", "x4"))
     g1 = u.subset(("x1", "x2"))
-    assert eval_kst(a, g1, "1/5", "4/5") == Fraction(1, 2)
-    assert eval_kst(a, g1, "1/2", "4/5") == 0
-    assert eval_kst(a, g1, "1/5", "1/2") == 1
+    assert kappa_st("1/5", "4/5")(a, g1) == Fraction(1, 2)
+    assert kappa_st("1/2", "4/5")(a, g1) == 0
+    assert kappa_st("1/5", "1/2")(a, g1) == 1
 
 
 def test_two_threshold_validation():
@@ -373,7 +369,7 @@ def test_measures_without_a_cardinality_form_stay_on_their_function():
     def swapped(universe, am, bm):
         return k0.on_masks(universe, bm, am)
 
-    table = _table_kappa(u, {(a.mask, b.mask): eval_k1(a, b)
+    table = _table_kappa(u, {(a.mask, b.mask): kappa_k1()(a, b)
                              for a in sets for b in sets})
     custom = (InclusionFn("K0", swapped), InclusionFn("K0", k0.fn),
               kappa_st("1/5", "4/5", table))

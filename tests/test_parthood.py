@@ -18,7 +18,6 @@ from roughpart import (
     build_parthood,
     build_pu,
     equalizers,
-    eval_k0,
     kappa_k0,
     kappa_k1,
     kappa_st,
@@ -199,11 +198,11 @@ def test_equalizer_families(std):
     kappa = kappa_k0()
     a, b = s["{x1,x2}"], s["{x2,x3}"]
     right, left = equalizers(kappa, a, b)
-    score = eval_k0(a, b)
+    score = kappa(a, b)
     assert score == Fraction(1, 2)
     assert len(right) == 8
-    assert all(eval_k0(a, c) == score for c in right)
-    assert all(eval_k0(c, b) == score for c in left)
+    assert all(kappa(a, c) == score for c in right)
+    assert all(kappa(c, b) == score for c in left)
     masks = [c.mask for c in right]
     assert masks == sorted(masks)
 
@@ -268,6 +267,23 @@ def plain_parthood(tag, u, g, kappa, alpha, k, tset):
         "pu": lambda a, b: up[a] <= up[b],
     }[tag]
     return {(a.mask, b.mask) for a in subs for b in subs if pred(a, b)}
+
+
+def test_grade_tags_match_a_plain_double_loop_on_seven_elements():
+    """s3 and s* come from Venn-count rows, s6 and st from superset rows
+    kept or dropped whole. On a seeded granulation of seven elements,
+    beyond the Hypothesis fixtures, each agrees with the plain double
+    loop at grades 0 to 3."""
+    u = Universe(tuple(f"e{i}" for i in range(7)))
+    rng = random.Random(7)
+    g = random_granulation(u, rng)
+    tset = tuple(rng.sample(g.granules, 2))
+    for k in range(4):
+        for tag in ("s3", "s6", "s*", "st"):
+            rel = build_parthood(tag, u, g, k=k, tset=tset)
+            want = plain_parthood(tag, u, g, kappa_k0(), Fraction(0), k,
+                                  tset)
+            assert want and set(rel.pairs) == want, (tag, k)
 
 
 @pytest.mark.parametrize("tag", ["s0l", "s0u"])

@@ -228,6 +228,17 @@ def test_s0u_from_pu_refutes_a_changed_floor(monkeypatch):
     assert outcome.counterexamples
 
 
+def test_s6_equals_s3_refutes_a_changed_venn_test(monkeypatch):
+    """s3 comes from a Venn-count test and s6 from the superset rows, so
+    an s3 test that no longer asks a to lie inside b is caught."""
+    monkeypatch.setitem(parthood._VENN_OF, "s3",
+                        lambda k: lambda p, i, y: i > k)
+    result = run_theorem_suite("parthood", random_count=2)
+    outcome = next(o for o in result.outcomes if o.clause == "s6-equals-s3")
+    assert not outcome.holds
+    assert outcome.counterexamples
+
+
 def _plain_lower_cmo(lo, full):
     pairs = [(a, b) for a in range(full + 1) for b in range(full + 1)
              if lo[a] & ~b == 0 and b & ~a == 0]
