@@ -295,13 +295,14 @@ def cmd_approx(args: argparse.Namespace) -> int:
                 _fail(f"unknown operator {op!r}; valid identifiers: "
                       f"{', '.join(OPERATOR_IDS)}", f"/operators/{i}")
     sets = _get_sets(spec, universe)
-    if universe.size == 0:
-        _emit(args, ("set",), (), {"columns": [], "rows": []})
-        return 0
-    granulation, neighborhoods = _get_granulation(spec, universe)
     if "operators" not in spec:
         operators = [op for op in OPERATOR_IDS
-                     if neighborhoods or op not in _POINTWISE_OPS]
+                     if "relation" in spec or op not in _POINTWISE_OPS]
+    headers = ["set"] + list(operators)
+    if universe.size == 0:
+        _emit(args, headers, (), {"columns": list(operators), "rows": []})
+        return 0
+    granulation, neighborhoods = _get_granulation(spec, universe)
     if not neighborhoods:
         for i, op in enumerate(operators):
             if op in _POINTWISE_OPS:
@@ -310,7 +311,6 @@ def cmd_approx(args: argparse.Namespace) -> int:
     approx = ApproxSpec(granulation, kappa, alpha, k,
                         neighborhoods or None)
     fns = [approx.operator(op) for op in operators]
-    headers = ["set"] + list(operators)
     rows = []
     for x in sets:
         rows.append([x.label()] + [fn(x).label() for fn in fns])
@@ -342,9 +342,9 @@ def cmd_axioms(args: argparse.Namespace) -> int:
         delta = _fraction(spec["delta"], "/delta")
         if not 0 <= delta <= 1:
             _fail("threshold must lie in [0, 1]", "/delta")
+    headers = ("axiom", "holds", "witness", "note")
     if universe.size == 0:
-        _emit(args, ("axiom", "holds", "witness"), (),
-              {"classes": [], "axioms": []})
+        _emit(args, headers, (), {"classes": [], "axioms": []})
         return 0
     reports = [check_axiom(kappa, axiom, universe,
                            delta=delta if axiom in SWEPT_AXIOMS else None)
@@ -377,8 +377,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
     classes = list(_rif_classes(holds))
     payload = {"classes": classes, "axioms": json_axioms}
     footer = "classes: " + (", ".join(classes) if classes else "none")
-    _emit(args, ("axiom", "holds", "witness", "note"), table_rows, payload,
-          (footer,))
+    _emit(args, headers, table_rows, payload, (footer,))
     return 0
 
 
@@ -403,8 +402,10 @@ def cmd_parthood(args: argparse.Namespace) -> int:
     want_properties = spec.get("properties", False)
     if not isinstance(want_properties, bool):
         _fail("expected true or false", "/properties")
+    headers = ("tag", "pairs", "property", "status", "detail") \
+        if want_properties else ("tag", "pairs")
     if universe.size == 0:
-        _emit(args, ("tag", "pairs"), (), {"relations": []})
+        _emit(args, headers, (), {"relations": []})
         return 0
     granulation, _ = _get_granulation(spec, universe)
     tset = _get_tset(spec, universe, granulation, "/tset")
@@ -431,8 +432,6 @@ def cmd_parthood(args: argparse.Namespace) -> int:
         else:
             table_rows.append([tag, str(relation.size)])
         json_relations.append(entry)
-    headers = ("tag", "pairs", "property", "status", "detail") \
-        if want_properties else ("tag", "pairs")
     _emit(args, headers, table_rows, {"relations": json_relations})
     return 0
 
@@ -461,9 +460,10 @@ def cmd_rational(args: argparse.Namespace) -> int:
     if tag == "st" and "tset" not in sub:
         _fail("field is required when the tag is 'st'", "/substantial/tset")
     sets = _get_sets(spec, universe)
+    headers = ("set", "kind", "defined", "trivial", "value", "witnesses",
+               "note")
     if universe.size == 0:
-        _emit(args, ("set", "kind", "defined", "trivial", "value"), (),
-              {"points": []})
+        _emit(args, headers, (), {"points": []})
         return 0
     granulation, _ = _get_granulation(spec, universe)
     sub_tset = _get_tset(sub, universe, granulation, "/substantial/tset")
@@ -499,8 +499,7 @@ def cmd_rational(args: argparse.Namespace) -> int:
                 "witnesses": witnesses,
                 "note": note,
             })
-    _emit(args, ("set", "kind", "defined", "trivial", "value", "witnesses",
-                 "note"), table_rows, {"points": json_points})
+    _emit(args, headers, table_rows, {"points": json_points})
     return 0
 
 

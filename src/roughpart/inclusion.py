@@ -19,10 +19,11 @@ axioms that any [0, 1]-valued measure must respect.
 from __future__ import annotations
 
 import functools
+import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .core import (
     EXHAUSTIVE_CAP,
@@ -304,58 +305,92 @@ def dependence_degree(a: ESet, b: ESet) -> Fraction:
     return pab - pa * pb
 
 
-# Each entry lazily yields every failing instance of its axiom as (masks in
-# _INSTANCE_VARS order, delta or None); swept axioms loop over delta
-# outermost. The domains skip only instances whose premise fails. An entry
-# sees the measure through order-preserving primitives: ``val`` on a mask
-# pair, the images ``one`` and ``zero`` of 1 and 0, and ``comp`` mapping
-# a value's image to the image of 1 minus it.
-_FAILURES = {
-    "U1": lambda val, one, zero, comp, masks, deltas: (
-        ((a,), None) for a in masks if val(a, a) != one),
-    "R0": lambda val, one, zero, comp, masks, deltas: (
-        ((a, b), None) for b in masks for a in iter_submasks(b)
-        if val(a, b) != one),
-    "IR0": lambda val, one, zero, comp, masks, deltas: (
-        ((a, b), None) for a in masks for b in masks
-        if val(a, b) == one and a & ~b),
-    "R1": lambda val, one, zero, comp, masks, deltas: (
-        ((a, b), None) for a in masks for b in masks
-        if (val(a, b) == one) != (a & ~b == 0)),
-    "R2": lambda val, one, zero, comp, masks, deltas: (
-        ((a, b, c), None) for b in masks for c in masks
-        if val(b, c) == one for a in masks if val(a, b) > val(a, c)),
-    "R3": lambda val, one, zero, comp, masks, deltas: (
-        ((a, b, c), None) for c in masks for b in iter_submasks(c)
-        for a in masks if val(a, b) > val(a, c)),
-    "R4": lambda val, one, zero, comp, masks, deltas: (
-        ((a, b), None) for a in masks for b in masks
-        if val(a, b) == zero and a & b),
-    "IR4": lambda val, one, zero, comp, masks, deltas: (
-        ((a, b), None) for a in masks[1:] for b in masks
-        if a & b == 0 and val(a, b) != zero),
-    "R5": lambda val, one, zero, comp, masks, deltas: (
-        ((a, b), None) for a in masks[1:] for b in masks
-        if (val(a, b) == zero) != (a & b == 0)),
-    "RB": lambda val, one, zero, comp, masks, deltas: (
-        ((a,), None) for a in masks[1:] if val(a, 0) != zero),
-    "R6": lambda val, one, zero, comp, masks, deltas: (
-        ((a, b, c), None) for b in masks for s in iter_submasks(b)
-        for c in [(masks[-1] ^ b) | s] for a in masks[1:]
-        if val(a, c) != comp(val(a, b))),
-    "RV": lambda val, one, zero, comp, masks, deltas: (
-        ((a, b, c), d) for d in deltas for b in masks
-        for a in iter_submasks(b) for c in iter_submasks(a)
-        if val(b, c) >= d and val(a, c) < d),
-    "RI": lambda val, one, zero, comp, masks, deltas: (
-        ((a, b, c), d) for d in deltas for a in masks for b in masks
-        for m in [a & b] for c in iter_submasks(m)
-        if val(a, c) >= d and val(b, c) >= d and val(m, c) < d),
-    "RI-np": lambda val, one, zero, comp, masks, deltas: (
-        ((a, b, c), d) for d in deltas for a in masks for b in masks
-        for c in masks
-        if val(a, c) >= d and val(b, c) >= d and val(a & b, c) < d),
+def _failure_test(axiom_id: str, val: Callable[[int, int], object],
+                  one: object, zero: object, comp: Callable[[object], object],
+                  full: int) -> Callable[..., bool]:
+    """The test ``test(d, *masks)`` that one instance of ``axiom_id``
+    fails, premise included, with masks in _INSTANCE_VARS order and ``d``
+    the threshold of a swept axiom (None otherwise). It sees the measure
+    through order-preserving primitives: ``val`` on a mask pair, the
+    images ``one`` and ``zero`` of 1 and 0, and ``comp`` mapping a value's
+    image to the image of 1 minus it."""
+    return {
+        "U1": lambda d, a: val(a, a) != one,
+        "R0": lambda d, a, b: not a & ~b and val(a, b) != one,
+        "IR0": lambda d, a, b: a & ~b and val(a, b) == one,
+        "R1": lambda d, a, b: (val(a, b) == one) != (not a & ~b),
+        "R2": lambda d, a, b, c: val(b, c) == one and val(a, b) > val(a, c),
+        "R3": lambda d, a, b, c: not b & ~c and val(a, b) > val(a, c),
+        "R4": lambda d, a, b: a & b and val(a, b) == zero,
+        "IR4": lambda d, a, b: a and not a & b and val(a, b) != zero,
+        "R5": lambda d, a, b: a and (val(a, b) == zero) != (not a & b),
+        "RB": lambda d, a: a and val(a, 0) != zero,
+        "R6": lambda d, a, b, c: a and b | c == full
+        and val(a, c) != comp(val(a, b)),
+        "RV": lambda d, a, b, c: not c & ~a and not a & ~b
+        and val(b, c) >= d and val(a, c) < d,
+        "RI": lambda d, a, b, c: not c & ~(a & b) and val(a, c) >= d
+        and val(b, c) >= d and val(a & b, c) < d,
+        "RI-np": lambda d, a, b, c: val(a, c) >= d and val(b, c) >= d
+        and val(a & b, c) < d,
+    }[axiom_id]
+
+
+def _pairs(masks: range, val: object, one: object
+           ) -> Iterator[tuple[int, ...]]:
+    return itertools.product(masks, repeat=2)
+
+
+# The mask sweep of each axiom, ``instances(masks, val, one)``: every
+# instance in witness order, skipping only instances whose premise fails.
+_INSTANCES: dict[str, Callable[..., Iterator[tuple[int, ...]]]] = {
+    "U1": lambda masks, val, one: ((a,) for a in masks),
+    "R0": lambda masks, val, one: (
+        (a, b) for b in masks for a in iter_submasks(b)),
+    "IR0": _pairs,
+    "R1": _pairs,
+    "R2": lambda masks, val, one: (
+        (a, b, c) for b in masks for c in masks if val(b, c) == one
+        for a in masks),
+    "R3": lambda masks, val, one: (
+        (a, b, c) for c in masks for b in iter_submasks(c) for a in masks),
+    "R4": _pairs,
+    "IR4": _pairs,
+    "R5": _pairs,
+    "RB": lambda masks, val, one: ((a,) for a in masks),
+    "R6": lambda masks, val, one: (
+        (a, b, (masks[-1] ^ b) | s) for b in masks
+        for s in iter_submasks(b) for a in masks),
+    "RV": lambda masks, val, one: (
+        (a, b, c) for b in masks for a in iter_submasks(b)
+        for c in iter_submasks(a)),
+    "RI": lambda masks, val, one: (
+        (a, b, c) for a in masks for b in masks
+        for c in iter_submasks(a & b)),
+    "RI-np": lambda masks, val, one: itertools.product(masks, repeat=3),
 }
+
+
+@functools.cache
+def _venn_types(size: int, arity: int) -> tuple[tuple[int, ...], ...]:
+    """One mask tuple per Venn-count type of ``arity`` subsets of a
+    ``size``-element universe, empty regions included. Region r holds the
+    elements in exactly the sets j with bit j of r set, and is a block of
+    consecutive bits; the block sizes run over every way to split
+    ``size`` into 2^arity parts."""
+    regions = 1 << arity
+    members = [[r for r in range(regions) if r >> j & 1]
+               for j in range(arity)]
+    types = []
+    for bars in itertools.combinations(range(size + regions - 1),
+                                       regions - 1):
+        # Bit edges[r] starts region r's block; the r-th bar sits after it.
+        edges = [1, *(1 << (bar - r) for r, bar in enumerate(bars)),
+                 1 << size]
+        types.append(tuple(sum(edges[r + 1] - edges[r] for r in rs)
+                           for rs in members))
+    return tuple(types)
+
 
 _INSTANCE_VARS = {
     "U1": ("a",),
@@ -481,6 +516,11 @@ def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
     val(a, c) and val(b, c) for RI and RI-np. So the sweep runs over the
     distinct values on the pairs those instances read, in ascending order:
     (x, c) with c inside x for RV and RI, and every pair for RI-np.
+
+    An invariant measure is first tested at one instance per Venn-count
+    type of the bound sets; if every type passes, the axiom holds without
+    a mask sweep. Otherwise, as for any other measure, the masks are swept
+    in the order of ``_INSTANCES`` and the first failures are kept.
     """
     _require_axiom(axiom_id)
     if axiom_id in SWEPT_AXIOMS:
@@ -508,14 +548,26 @@ def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
         labels = {cut: str(delta)}
         params.append(("delta", str(delta)))
     elif axiom_id in SWEPT_AXIOMS:
-        deltas = tuple(sorted({val(x, c) for x in masks for c in (
-            masks if axiom_id == "RI-np" else iter_submasks(x))}))
+        pairs = (_venn_types(universe.size, 2) if kappa.invariant
+                 else itertools.product(masks, repeat=2))
+        deltas = tuple(sorted({val(x, c) for x, c in pairs
+                               if axiom_id == "RI-np" or not c & ~x}))
         labels = {d: str(d if values is None else values[d]) for d in deltas}
         params.append(("delta", f"sweep[{len(deltas)}]"))
     else:
-        deltas, labels = (), {}
+        deltas, labels = (None,), {}
     names = _INSTANCE_VARS[axiom_id]
-    failures = _FAILURES[axiom_id](val, one, zero, comp, masks, deltas)
+    test = _failure_test(axiom_id, val, one, zero, comp, universe.full_mask)
+    # An invariant measure's verdict on an instance depends only on the
+    # Venn counts of its sets, so one instance per count type decides a
+    # holding axiom; a failing one is swept on masks for its witnesses.
+    holds = kappa.invariant and not any(
+        test(d, *ms) for ms in _venn_types(universe.size, len(names))
+        for d in deltas)
+    instances = _INSTANCES[axiom_id]
+    failures = () if holds else (
+        (ms, d) for d in deltas for ms in instances(masks, val, one)
+        if test(d, *ms))
     return _sweep_report(axiom_id, (
         tuple(binding(k, ESet(universe, m)) for k, m in zip(names, ms))
         + ((("delta", (labels[d],)),) if d is not None else ())

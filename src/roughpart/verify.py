@@ -410,11 +410,12 @@ def _grif_check(fixture: Fixture) -> list[_Eval]:
     full = universe.full_mask
     masks = range(full + 1)
     sets = [ESet(universe, m) for m in masks]
-    lo_op = lambda s: classical_lower(s, g)
-    up_op = lambda s: classical_upper(s, g)
-    cl = image_table(universe, lo_op)
-    cu = image_table(universe, up_op)
+    cl = image_table(universe, lambda s: classical_lower(s, g))
+    cu = image_table(universe, lambda s: classical_upper(s, g))
     img = {"l": cl, "u": cu}
+    # The public route reads the operators' tables instead of recomputing.
+    lo_op = lambda x: sets[cl[x.mask]]
+    up_op = lambda x: sets[cu[x.mask]]
 
     def ce(extra: tuple[Binding, ...] = (), **named: int) -> Counterexample:
         return Counterexample(fixture.name, "nu", "",

@@ -203,7 +203,35 @@ def test_empty_universe_yields_header_only(tmp_path, capsys):
     spec = write_spec(tmp_path, {"universe": []})
     code, out, err = run(capsys, "approx", "--spec", spec)
     assert code == 0 and err == ""
-    assert out == "| set |\n| --- |\n"
+    assert out == (
+        "| set | l | u | u_b | l_alpha | u_alpha | neg_alpha | l_alpha_star "
+        "| u_alpha_star | l_grade | l_grade_strict | u_grade |\n"
+        "|" + "|".join(" --- " for _ in range(12)) + "|\n")
+
+
+@pytest.mark.parametrize("command, fields", [
+    ("approx", {"granules": [["x1"]]}),
+    ("approx", {"relation": {"pairs": []}}),
+    ("approx", {"granules": [["x1"]], "operators": ["u", "l_grade"]}),
+    ("axioms", {}),
+    ("parthood", {"granules": [["x1"]]}),
+    ("parthood", {"granules": [["x1"]], "properties": True}),
+    ("rational", {"granules": [["x1"]], "substantial": {"tag": "s3"}}),
+    ("correspond", {"granules": [["x1"]]}),
+])
+def test_empty_universe_prints_the_columns_of_a_nonempty_one(
+        tmp_path, capsys, command, fields):
+    """The header-only table for no elements has the columns that the
+    same spec prints on one element."""
+    for fmt in ("md", "csv"):
+        heads = []
+        for universe in ([], ["x1"]):
+            spec = write_spec(tmp_path, {**fields, "universe": universe})
+            code, out, err = run(capsys, command, "--spec", spec,
+                                 "--format", fmt)
+            assert code == 0 and err == "", err
+            heads.append(out.splitlines()[0])
+        assert heads[0] == heads[1], (command, fmt)
 
 
 @pytest.mark.parametrize("command, field, pointer", [

@@ -326,6 +326,51 @@ def test_rank_sweep_agrees_with_instance_evaluation(kappa):
                     == check_axiom(plain, axiom, universe, delta=delta)
 
 
+def _two_apart(universe, am, bm):
+    return Fraction(1) if (am & ~bm).bit_count() >= 2 else Fraction(1, 2)
+
+
+# A measure on the count |a∖b| alone, so invariant. On two or more
+# elements it fails RV at its top threshold 1 only (a = c = {} and
+# b = {p,q}); at the lowest swept value no swept axiom can fail.
+_TOP_ONLY = InclusionFn("two-apart", _two_apart, invariant=True)
+
+
+@pytest.mark.parametrize("kappa", _SHIPPED + (_TOP_ONLY,),
+                         ids=InclusionFn.describe)
+def test_type_sweep_agrees_with_the_mask_sweep(kappa):
+    """The Venn-type sweep of an invariant measure, empty universe and
+    empty regions included, gives the report of the mask sweep that the
+    same measure gets when it is not flagged invariant: swept and at
+    either pinned threshold of the rank sweep test above."""
+    plain = dataclasses.replace(kappa, invariant=False)
+    wide = kappa.describe() in ("K0", "Kst(s=1/5,t=4/5,base=K0)")
+    for size in (0, 1, 2, 5) if wide else (0, 1, 2):
+        universe = Universe(tuple("pqrst"[:size]))
+        for axiom in VALID_AXIOMS:
+            for delta in (None, Fraction(1, 3), Fraction(3, 10)) \
+                    if axiom in SWEPT_AXIOMS else (None,):
+                assert check_axiom(kappa, axiom, universe, delta=delta) \
+                    == check_axiom(plain, axiom, universe, delta=delta), \
+                    (size, axiom, delta)
+
+
+def test_a_holding_invariant_verdict_starts_no_mask_sweep(monkeypatch):
+    """K0 holds every axiom but R6 and RI-np on four elements, and decides
+    each of them from its Venn types alone."""
+    def refuse(masks, val, one):
+        raise AssertionError("the mask sweep started")
+
+    universe = Universe(("p", "q", "r", "s"))
+    for axiom in VALID_AXIOMS:
+        monkeypatch.setitem(inclusion._INSTANCES, axiom, refuse)
+    for axiom in VALID_AXIOMS:
+        if axiom not in ("R6", "RI-np"):
+            assert check_axiom(kappa_k0(), axiom, universe).holds, axiom
+    with pytest.raises(AssertionError, match="mask sweep"):
+        check_axiom(kappa_k0(), "R6", universe)
+
+
 def _row_pairs(rows):
     return {(am, bm) for am, row in enumerate(rows)
             for bm in range(len(rows)) if row >> bm & 1}
