@@ -1,14 +1,15 @@
 """Alternating-pairs comparison of two commits on the repo's benchmark.
 
     python3 scripts/bench_pairs.py --parent REV --change REV --pr N \
-        [--pairs 10] [--seconds 50] [--seed 0] [--workload NAME ...] \
         [--work DIR]
 
-Each run is one ``perfbench/run.py --workload W --seed S --seconds T``
+The benchmark is the ``BENCHMARK.json`` of the change: its ``command``
+runs every one of its workloads for ``run_seconds`` at seed 0, in ten
+pairs, and its end-to-end metrics and their directions are the ones
+compared. Each run is one ``COMMAND --workload W --seed 0 --seconds T``
 call in a fresh checkout of its side (``git archive`` of the commit into
 a new directory, removed after the run). Pair i runs the parent first
-when i is even and the change first when i is odd. The end-to-end
-metrics and their directions come from ``BENCHMARK.json`` of the change.
+when i is even and the change first when i is odd.
 The result is written to ``BENCH_<pr>.json`` at the repo root, with each
 side's runs, medians and quartiles per metric and the number of pairs
 the change won; ties count for neither side. Run it from the root of a
@@ -31,6 +32,8 @@ import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+PAIRS = 10
+SEED = 0
 # The longest a run may take past its --seconds before it is stopped.
 GRACE_S = 300
 
@@ -55,12 +58,13 @@ def checkout(sha: str, into: str) -> None:
             raise RuntimeError(f"git archive {sha} failed")
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: str, command: list[str], workload: str,
+             seconds: float) -> dict:
     """One benchmark run in ``tree``; the JSON of its last output line.
     The run gets a process group of its own, so that stopping it also
     stops the passes it started."""
-    cmd = (sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds))
+    cmd = (*command, "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(seconds))
     proc = subprocess.Popen(cmd, cwd=tree, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True,
                             start_new_session=True)
@@ -129,10 +133,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", required=True)
     parser.add_argument("--change", required=True)
     parser.add_argument("--pr", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=50)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workload", action="append")
     parser.add_argument("--work")
     args = parser.parse_args(argv)
 
@@ -140,7 +140,8 @@ def main(argv: list[str] | None = None) -> int:
             "change": git("rev-parse", f"{args.change}^{{commit}}")}
     bench = json.loads(git("show", f"{shas['change']}:BENCHMARK.json"))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    command, seconds = bench["command"], bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     if args.work:
         os.makedirs(args.work)
     work = args.work or tempfile.mkdtemp(prefix="bench-pairs-")
@@ -148,13 +149,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         for workload in workloads:
             runs: dict[str, list[dict]] = {side: [] for side in SIDES}
-            for i in range(args.pairs):
+            for i in range(PAIRS):
                 for side in SIDES if i % 2 == 0 else SIDES[::-1]:
                     tree = os.path.join(work, f"{workload}-{i}-{side}")
                     checkout(shas[side], tree)
                     try:
                         runs[side].append(run_once(
-                            tree, workload, args.seed, args.seconds))
+                            tree, command, workload, seconds))
                     finally:
                         shutil.rmtree(tree, ignore_errors=True)
                     wall = runs[side][-1]["metrics"]["wall_s"]["value"]
@@ -165,8 +166,8 @@ def main(argv: list[str] | None = None) -> int:
         shutil.rmtree(work, ignore_errors=True)
 
     record = {
-        "command": f"python3 perfbench/run.py --workload W --seed "
-                   f"{args.seed} --seconds {args.seconds:g}",
+        "command": f"{' '.join(command)} --workload W --seed {SEED} "
+                   f"--seconds {seconds:g}",
         "method": "alternating pairs: parent first in even pairs, change "
                   "first in odd pairs; each run is one perfbench/run.py "
                   "call in a fresh checkout of its side; quartiles are "

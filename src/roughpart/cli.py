@@ -298,16 +298,16 @@ def cmd_approx(args: argparse.Namespace) -> int:
     if "operators" not in spec:
         operators = [op for op in OPERATOR_IDS
                      if "relation" in spec or op not in _POINTWISE_OPS]
+    if "relation" not in spec:
+        for i, op in enumerate(operators):
+            if op in _POINTWISE_OPS:
+                _fail(f"operator {op!r} needs a relation, not explicit "
+                      "granules", f"/operators/{i}")
     headers = ["set"] + list(operators)
     if universe.size == 0:
         _emit(args, headers, (), {"columns": list(operators), "rows": []})
         return 0
     granulation, neighborhoods = _get_granulation(spec, universe)
-    if not neighborhoods:
-        for i, op in enumerate(operators):
-            if op in _POINTWISE_OPS:
-                _fail(f"operator {op!r} needs a relation, not explicit "
-                      "granules", f"/operators/{i}")
     approx = ApproxSpec(granulation, kappa, alpha, k,
                         neighborhoods or None)
     fns = [approx.operator(op) for op in operators]

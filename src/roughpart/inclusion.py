@@ -548,10 +548,12 @@ def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
         labels = {cut: str(delta)}
         params.append(("delta", str(delta)))
     elif axiom_id in SWEPT_AXIOMS:
-        pairs = (_venn_types(universe.size, 2) if kappa.invariant
-                 else itertools.product(masks, repeat=2))
-        deltas = tuple(sorted({val(x, c) for x, c in pairs
-                               if axiom_id == "RI-np" or not c & ~x}))
+        nested = axiom_id != "RI-np"
+        pairs = ((x, c) for x, c in _venn_types(universe.size, 2)
+                 if not (nested and c & ~x)) if kappa.invariant else (
+            (x, c) for x in masks
+            for c in (iter_submasks(x) if nested else masks))
+        deltas = tuple(sorted({val(x, c) for x, c in pairs}))
         labels = {d: str(d if values is None else values[d]) for d in deltas}
         params.append(("delta", f"sweep[{len(deltas)}]"))
     else:

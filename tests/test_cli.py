@@ -236,6 +236,8 @@ def test_empty_universe_prints_the_columns_of_a_nonempty_one(
 
 @pytest.mark.parametrize("command, field, pointer", [
     ("approx", {"kappa": "bogus"}, "/kappa"),
+    ("approx", {"granules": [], "operators": ["l_alpha_pt"]},
+     "/operators/0"),
     ("axioms", {"delta": "3/2"}, "/delta"),
     ("parthood", {"tags": ["s4"]}, "/tags/0"),
     ("rational", {"substantial": 3}, "/substantial"),
@@ -245,8 +247,9 @@ def test_empty_universe_still_validates_its_fields(tmp_path, capsys, command,
                                                    field, pointer):
     """A bad field is refused at the same pointer whether the universe is
     empty or not."""
-    nonempty = {"universe": STANDARD["universe"]} if command == "axioms" \
-        else STANDARD
+    nonempty = STANDARD
+    if command == "axioms" or "granules" in field:
+        nonempty = {"universe": STANDARD["universe"]}
     for base in ({"universe": []}, nonempty):
         spec = write_spec(tmp_path, {**base, **field})
         code, out, err = run(capsys, command, "--spec", spec)
