@@ -44,12 +44,7 @@ from .correspond import (
 )
 from .inclusion import SWEPT_AXIOMS, VALID_AXIOMS, _rif_classes, check_axiom
 from .parthood import PARTHOOD_TAGS, analyze_properties, build_parthood
-from .rational import (
-    _exhaustive_lower,
-    _nonempty_definites,
-    _upper_search,
-    rational_lower,
-)
+from .rational import _Search
 from .verify import (
     SUITE_IDS,
     _kappa_from_tag,
@@ -470,18 +465,12 @@ def cmd_rational(args: argparse.Namespace) -> int:
     substantial = build_parthood(tag, universe, granulation, kappa=kappa,
                                  alpha=alpha, k=sub_k, tset=sub_tset)
     tables = vprs_tables(granulation, kappa, alpha)
-    lo, up = tables.lower, tables.upper
-    definites = _nonempty_definites(universe, lo)
+    search = _Search(substantial, tables.lower, tables.upper)
     table_rows = []
     json_points = []
     for x in sets:
-        if mode == "exhaustive":
-            low = _exhaustive_lower(x, lo, definites, substantial.holds)
-        else:
-            low = rational_lower(x, lambda s: ESet(universe, lo[s.mask]),
-                                 substantial)
-        high = _upper_search(x, up, definites, substantial.holds)
-        for kind, res in (("lower", low), ("upper", high)):
+        for kind, res in (("lower", search.lower(x.mask, mode)),
+                          ("upper", search.upper(x.mask))):
             value = res.value.label() if res.value is not None else ""
             witnesses = "; ".join(f"{name}={e.label()}"
                                   for name, e in res.witnesses)

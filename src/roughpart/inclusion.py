@@ -216,11 +216,6 @@ def kappa_k2() -> InclusionFn:
     return _K2
 
 
-def eval_classification_error(a: ESet, b: ESet) -> Fraction:
-    """Complement of ``K0``: the share of ``a`` outside ``b``."""
-    return ONE - _K0(a, b)
-
-
 def _validate_thresholds(s: Fraction, t: Fraction) -> None:
     if not (ZERO <= s < t <= ONE):
         raise ValueError("thresholds must satisfy 0 <= s < t <= 1")

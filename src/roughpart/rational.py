@@ -6,7 +6,7 @@ approximation looks for an operator image that already contains the set,
 stays inside its plain upper approximation, and is substantially entered
 by every nonempty definite subset it contains. Definite here always means
 a nonempty fixed point of the lower operator; the empty set is excluded
-from the quantifiers on purpose, since most substantial predicates reject
+from the quantifiers on purpose, since most substantial relations reject
 it and would otherwise poison every candidate.
 
 Two lower modes ship. The default ``substantial`` mode accepts the lower
@@ -16,10 +16,11 @@ set, and otherwise falls back to the empty value, marked trivial. The
 with the largest lower image, which can rescue value at points the
 default mode leaves trivial. Both modes always produce a result; the
 upper construction is genuinely partial and can fail to produce one.
+Every entry refuses a relation over another universe before it sweeps.
 
 :func:`check_rational_proposition` evaluates the compatibility statements
 tying these maps to their plain counterparts. The statements are theorems
-only when the substantial predicate meets the framework hypothesis, so
+only when the substantial relation meets the framework hypothesis, so
 the hypothesis is checked and reported alongside; the two substantial
 compatibility statements are open in general and are reported without
 ever being asserted.
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (
     EXHAUSTIVE_CAP,
@@ -44,8 +45,6 @@ from .core import (
     iter_submasks,
 )
 from .parthood import ParthoodRelation, analyze_properties
-
-Substantial = Callable[[ESet, ESet], bool]
 
 LOWER_MODES = ("substantial", "exhaustive")
 
@@ -68,37 +67,87 @@ class RationalResult:
     notes: tuple[str, ...] = ()
 
 
-def _as_predicate(substantial: Substantial | ParthoodRelation) -> Substantial:
-    if isinstance(substantial, ParthoodRelation):
-        return substantial.holds
-    return substantial
+def _refuse_foreign(relation: ParthoodRelation, universe: Universe) -> None:
+    if relation.universe != universe:
+        raise ValueError("the substantial relation belongs to a different "
+                         "universe")
 
 
-def _nonempty_definites(universe: Universe, lo: Sequence[int]) -> list[ESet]:
-    return [ESet(universe, m) for m in range(1, len(lo)) if lo[m] == m]
+def _check_mode(mode: str) -> None:
+    if mode not in LOWER_MODES:
+        raise ValueError(
+            f"unknown mode {mode!r}; valid modes: {', '.join(LOWER_MODES)}")
 
 
-def _exhaustive_lower(a: ESet, lo: Sequence[int], definites: list[ESet],
-                      ps: Substantial) -> RationalResult:
-    """The ``exhaustive`` search of :func:`rational_lower`, reading lower
-    images from ``lo``, the lower table indexed by mask."""
-    universe = a.universe
-    best = source = 0
-    for m in iter_submasks(a.mask):
-        if lo[m].bit_count() > best.bit_count() and \
-                all(e.mask & ~m or ps(e, a) for e in definites):
-            best, source = lo[m], m
-    if not best:
-        return RationalResult(True, universe.empty, (), True, "exhaustive",
-                              ("no substantial candidate; trivial fallback",))
-    return RationalResult(True, ESet(universe, best),
-                          (("source", ESet(universe, source)),), False,
-                          "exhaustive")
+def _lower_result(universe: Universe, mode: str, value: int,
+                  source: int) -> RationalResult:
+    if not value:
+        note = "no substantial lower value" if mode == "substantial" \
+            else "no substantial candidate"
+        return RationalResult(True, universe.empty, (), True, mode,
+                              (f"{note}; trivial fallback",))
+    return RationalResult(True, ESet(universe, value),
+                          (("source", ESet(universe, source)),), False, mode)
 
 
-def rational_lower(a: ESet, lower: Operator,
-                   substantial: Substantial | ParthoodRelation, *,
-                   mode: str = "substantial") -> RationalResult:
+class _Search:
+    """The rational maps of one substantial relation over its universe,
+    read from the lower and upper image tables ``lo`` and ``up`` (indexed
+    by mask) with bit tests on the relation's rows.
+
+    It keeps the nonempty definites and the upper candidates that every
+    nonempty definite inside them substantially enters, each with its
+    smallest preimage, smallest first and then by mask. That screen does
+    not depend on the approximated set, so it runs once.
+    """
+
+    def __init__(self, relation: ParthoodRelation, lo: Sequence[int],
+                 up: Sequence[int] = ()) -> None:
+        self.universe, self.lo, self.up = relation.universe, lo, up
+        self.rows = rows = relation.rows
+        self.definites = [m for m in range(1, len(lo)) if lo[m] == m]
+        preimage: dict[int, int] = {}
+        for m, v in enumerate(up):
+            preimage.setdefault(v, m)
+        self.candidates = [
+            (v, preimage[v])
+            for v in sorted(preimage, key=lambda v: (v.bit_count(), v))
+            if all(e & ~v or rows[e] >> v & 1 for e in self.definites)]
+
+    def lower(self, a: int, mode: str) -> RationalResult:
+        lo, rows = self.lo, self.rows
+        if mode == "substantial":
+            v = lo[a] if rows[lo[a]] >> a & 1 else 0
+            return _lower_result(self.universe, mode, v, a)
+        # A submask qualifies when no definite inside it fails to be
+        # substantially part of ``a``.
+        bad = [e for e in self.definites
+               if e & ~a == 0 and not rows[e] >> a & 1]
+        best = source = 0
+        for m in iter_submasks(a):
+            if lo[m].bit_count() > best.bit_count() and \
+                    all(e & ~m for e in bad):
+                best, source = lo[m], m
+        return _lower_result(self.universe, mode, best, source)
+
+    def upper(self, a: int) -> RationalResult:
+        qualifying = [(v, z) for v, z in self.candidates
+                      if a & ~v == 0 and v & ~self.up[a] == 0]
+        if not qualifying:
+            return RationalResult(False, None, (), False, "upper",
+                                  ("no operator image qualifies",))
+        chosen, z = (ESet(self.universe, m) for m in qualifying[0])
+        notes = ()
+        if len(qualifying) > 1:
+            notes = (f"{len(qualifying) - 1} larger candidate(s) also "
+                     "qualify",)
+        return RationalResult(True, chosen,
+                              (("candidate", chosen), ("preimage", z)),
+                              False, "upper", notes)
+
+
+def rational_lower(a: ESet, lower: Operator, substantial: ParthoodRelation,
+                   *, mode: str = "substantial") -> RationalResult:
     """Rational lower approximation of ``a``.
 
     Always defined. In ``substantial`` mode the value is the lower
@@ -109,27 +158,22 @@ def rational_lower(a: ESet, lower: Operator,
     part of ``a``, and the qualifying candidate with the largest lower
     image wins (smallest mask on ties).
     """
-    if mode not in LOWER_MODES:
-        raise ValueError(
-            f"unknown mode {mode!r}; valid modes: {', '.join(LOWER_MODES)}")
-    ps = _as_predicate(substantial)
+    _check_mode(mode)
     universe = a.universe
+    if mode == "exhaustive":
+        _check_cap(universe.size * 2, EXHAUSTIVE_CAP,
+                   "the exhaustive rational lower search")
+    _refuse_foreign(substantial, universe)
     if mode == "substantial":
-        v = lower(a)
-        if not v.is_empty and ps(v, a):
-            return RationalResult(True, v, (("source", a),), False, mode)
-        return RationalResult(True, universe.empty, (), True, mode,
-                              ("no substantial lower value; trivial fallback",))
-
-    _check_cap(universe.size * 2, EXHAUSTIVE_CAP,
-               "the exhaustive rational lower search")
-    lo = image_table(universe, lower)
-    return _exhaustive_lower(a, lo, _nonempty_definites(universe, lo), ps)
+        v = lower(a).mask
+        v = v if substantial.rows[v] >> a.mask & 1 else 0
+        return _lower_result(universe, mode, v, a.mask)
+    return _Search(substantial,
+                   image_table(universe, lower)).lower(a.mask, mode)
 
 
 def rational_upper(a: ESet, upper: Operator, lower: Operator,
-                   substantial: Substantial | ParthoodRelation
-                   ) -> RationalResult:
+                   substantial: ParthoodRelation) -> RationalResult:
     """Rational upper approximation of ``a``; partial by design.
 
     Candidates are the images of the upper operator, smallest first, then
@@ -142,76 +186,35 @@ def rational_upper(a: ESet, upper: Operator, lower: Operator,
     """
     universe = a.universe
     _check_cap(universe.size * 2, EXHAUSTIVE_CAP, "the rational upper search")
-    definites = _nonempty_definites(universe, image_table(universe, lower))
-    return _upper_search(a, image_table(universe, upper), definites,
-                         _as_predicate(substantial))
-
-
-def _upper_search(a: ESet, up: Sequence[int], definites: list[ESet],
-                  ps: Substantial) -> RationalResult:
-    """The candidate search of :func:`rational_upper`, reading upper
-    images from ``up``, the upper table indexed by mask."""
-    universe = a.universe
-    preimage: dict[int, int] = {}
-    for m, v in enumerate(up):
-        preimage.setdefault(v, m)
-    aup = ESet(universe, up[a.mask])
-    candidates = sorted(preimage,
-                        key=lambda v: (v.bit_count(), v))
-    qualifying: list[ESet] = []
-    for vmask in candidates:
-        b = ESet(universe, vmask)
-        if not (a <= b and b <= aup):
-            continue
-        if all(not e <= b or ps(e, b) for e in definites):
-            qualifying.append(b)
-    if not qualifying:
-        return RationalResult(False, None, (), False, "upper",
-                              ("no operator image qualifies",))
-    chosen = qualifying[0]
-    z = ESet(universe, preimage[chosen.mask])
-    notes = ()
-    if len(qualifying) > 1:
-        notes = (f"{len(qualifying) - 1} larger candidate(s) also qualify",)
-    return RationalResult(True, chosen, (("candidate", chosen), ("preimage", z)),
-                          False, "upper", notes)
+    _refuse_foreign(substantial, universe)
+    return _Search(substantial, image_table(universe, lower),
+                   image_table(universe, upper)).upper(a.mask)
 
 
 _HYPOTHESIS_PROPS = ("reflexive", "part-compatible", "mutual-rough-equal",
                      "join-compatible", "l-euclidean", "r-euclidean")
 
 
-def _relation_for(universe: Universe,
-                  substantial: Substantial | ParthoodRelation
-                  ) -> ParthoodRelation:
-    if isinstance(substantial, ParthoodRelation):
-        return substantial
-    subsets = [ESet(universe, m) for m in range(universe.full_mask + 1)]
-    rows = tuple(sum(1 << b.mask for b in subsets if substantial(a, b))
-                 for a in subsets)
-    return ParthoodRelation("custom", universe, rows)
-
-
 def check_rational_proposition(universe: Universe, lower: Operator,
-                               substantial: Substantial | ParthoodRelation, *,
+                               substantial: ParthoodRelation, *,
                                upper: Operator | None = None,
                                mode: str = "substantial"
                                ) -> tuple[CheckReport, ...]:
     """Evaluate the compatibility statements for the rational maps.
 
     The first report checks the framework hypothesis on the substantial
-    predicate together with the lower operator laws the proofs lean on.
+    relation together with the lower operator laws the proofs lean on.
     The remaining reports are empirical sweeps; they are theorems only
     under that hypothesis, so every report carries the hypothesis verdict
     in its parameters. The two reports suffixed ``-open`` record the
     substantial compatibility questions, which have no general answer;
     they are informational and must not be asserted.
     """
-    ps = _as_predicate(substantial)
+    _check_mode(mode)
     _check_cap(universe.size * 2, EXHAUSTIVE_CAP,
                "the rational proposition sweep")
-    relation = _relation_for(universe, substantial)
-    profile = analyze_properties(relation)
+    _refuse_foreign(substantial, universe)
+    profile = analyze_properties(substantial)
     hyp_parts = {
         name: profile.status(name).status == "holds"
         for name in _HYPOTHESIS_PROPS
@@ -237,20 +240,14 @@ def check_rational_proposition(universe: Universe, lower: Operator,
                            universe.size, hyp_params)]
     gate = (("hypothesis", "met" if hypothesis else "not-met"),)
 
-    definites = _nonempty_definites(universe, lo)
-
-    def rl(x: ESet) -> ESet:
-        if mode == "exhaustive":
-            res = _exhaustive_lower(x, lo, definites, ps)
-        else:
-            res = rational_lower(x, lower, ps, mode=mode)
-        assert res.value is not None
-        return res.value
+    up = image_table(universe, upper) if upper is not None else ()
+    search = _Search(substantial, lo, up)
+    rlo = [search.lower(m, mode).value.mask for m in masks]
+    rows = substantial.rows
 
     def ev(m: int) -> ESet:
         return ESet(universe, m)
 
-    rlo = image_table(universe, rl)
     size = universe.size
     status = (("status", "open question; reported, not asserted"),)
     reports += [
@@ -263,17 +260,15 @@ def check_rational_proposition(universe: Universe, lower: Operator,
         _sweep_report("s-monotone", itertools.islice((
             (binding("a", ev(a)), binding("b", ev(b)))
             for b in masks for a in iter_submasks(b)
-            if not ps(ev(rlo[a]), ev(rlo[b]))), 1), size, gate),
+            if not rows[rlo[a]] >> rlo[b] & 1), 1), size, gate),
         _sweep_report("lower-compatible-open", (
             (binding("a", ev(m)),) for m in masks
-            if not ps(ev(rlo[m]), ev(lo[m]))), size, gate + status),
+            if not rows[rlo[m]] >> lo[m] & 1), size, gate + status),
     ]
 
     if upper is not None:
-        up = image_table(universe, upper)
         values = [(m, res.value.mask) for m in masks
-                  for res in [_upper_search(ev(m), up, definites, ps)]
-                  if res.value is not None]
+                  for res in [search.upper(m)] if res.value is not None]
         coverage = (("defined-points", f"{len(values)}/{full + 1}"),)
         reports += [
             _sweep_report("upper-compatible", (
@@ -281,6 +276,6 @@ def check_rational_proposition(universe: Universe, lower: Operator,
                 size, gate + coverage),
             _sweep_report("upper-compatible-open", (
                 (binding("a", ev(m)),) for m, v in values
-                if not ps(ev(v), ev(up[m]))), size, gate + coverage + status),
+                if not rows[v] >> up[m] & 1), size, gate + coverage + status),
         ]
     return tuple(reports)

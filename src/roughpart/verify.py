@@ -445,20 +445,19 @@ def _grif_check(fixture: Fixture) -> list[_Eval]:
             ce(b=b, e=e, extra=(("side", (side,)),)) for side in "lu"
             for e in masks for b in iter_submasks(e)
             if img[side][b] & ~img[side][e])),
-        # The light clauses go through the public evaluation route.
         "refl": (len(masks), (
             ce(a=m) for m in masks
-            if bg(m, m, "l", "l") != 1 or bg(m, m, "u", "u") != 1
-            or bg(m, m, "l", "u") > 1)),
+            if via(m, m, "l", "l") != 1 or via(m, m, "u", "u") != 1
+            or via(m, m, "l", "u") > 1)),
         "bot": (4 * len(masks), (
             ce(b=m, extra=(("form", (form,)),)) for m in masks
-            for form in _FORMS if bg(0, m, *form) != 1)),
+            for form in _FORMS if via(0, m, *form) != 1)),
         "top": (4 * len(masks), (
             ce(a=m, extra=(("form", (form,)),)) for m in masks
-            for form in _FORMS if bg(m, full, *form) != 1))
+            for form in _FORMS if via(m, full, *form) != 1))
         if top_definite else (0, ()),
-        # Cross-check the mask arrays against the public route on a
-        # deterministic sample of pairs.
+        # The one clause through the public evaluation route: it checks
+        # the mask formula on a deterministic sample of pairs.
         "route-agreement": (4 * len(sample) ** 2, (
             ce(a=a, b=b, extra=(("form", (form,)),))
             for a in sample for b in sample for form in _FORMS

@@ -2,19 +2,23 @@
 
 Every name a module imports is used in that module; ``__init__.py`` is
 skipped because it imports names in order to re-export them. Every
-function the benchmark tracer in ``perfbench/tracing.py`` wraps exists,
-and a measure rebuilt from its tag, function and parameters, as the
-tracer rebuilds it, equals the original.
+public function is read by some module of the package or wrapped by the
+tracer, unless it is exempt with a reason. Every function the benchmark
+tracer in ``perfbench/tracing.py`` wraps exists, and a measure rebuilt
+from its tag, function and parameters, as the tracer rebuilds it,
+equals the original.
 """
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
 
+import roughpart
 from roughpart import InclusionFn, kappa_k0, kappa_k1, kappa_k2, kappa_st
 
 ROOT = Path(__file__).parent.parent
@@ -63,6 +67,31 @@ def test_traced_functions_exist():
                if not callable(getattr(importlib.import_module(
                    f"roughpart.{layer}"), name, None))]
     assert missing == []
+
+
+# Public functions no module reads, each with the reason it stays.
+UNREAD_EXEMPT = (
+    # A measure of the paper; tying it to a verify clause would change the
+    # report digests the benchmark pins.
+    "dependence_degree",
+)
+
+
+def test_every_public_function_is_used():
+    read = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    constants = _tracer_constants()
+    traced = {name for names in constants["TARGETS"].values()
+              for name in names} | set(constants["MEASURE_FACTORIES"])
+    unused = [name for name in roughpart.__all__
+              if inspect.isfunction(getattr(roughpart, name))
+              and name not in read | traced | set(UNREAD_EXEMPT)]
+    assert unused == []
 
 
 @pytest.mark.parametrize("measure", (

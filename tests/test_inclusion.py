@@ -18,7 +18,6 @@ from roughpart import (
     dependence_degree,
     eval_bgrif,
     eval_cgrif,
-    eval_classification_error,
     evaluate_axiom_instance,
     classical_lower,
     classical_upper,
@@ -46,7 +45,6 @@ def test_union_and_complement_measures_spot_values(std):
     a, b = s["{x1,x2}"], s["{x2,x3}"]
     assert kappa_k1()(a, b) == Fraction(2, 3)
     assert kappa_k2()(a, b) == Fraction(3, 4)
-    assert eval_classification_error(a, b) == Fraction(1, 2)
     assert dependence_degree(a, b) == 0
 
 

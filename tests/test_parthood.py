@@ -27,7 +27,6 @@ from roughpart import (
     vprs_upper,
 )
 from roughpart.core import binding
-from roughpart.rational import _relation_for
 from conftest import measures, precisions, small_fixtures, subsets_by_label
 
 ALPHA = Fraction(3, 10)
@@ -473,8 +472,11 @@ def test_property_profile_matches_plain_sweeps(tuned, tag, flips):
         # A near miss of the tag: a few pairs toggled, no tuning attached.
         full = u.full_mask
         custom = pairs ^ {(a & full, b & full) for a, b in flips}
-        relations.append((_relation_for(
-            u, lambda a, b: (a.mask, b.mask) in custom), custom))
+        rows = [0] * (full + 1)
+        for a, b in custom:
+            rows[a] |= 1 << b
+        relations.append(
+            (ParthoodRelation("custom", u, tuple(rows)), custom))
     for relation, held in relations:
         profile = analyze_properties(relation)
         got = [(s.name, s.status, s.witness, s.condition)

@@ -132,13 +132,25 @@ def test_upper_worked_example(std):
                                ("preimage", s["{x1}"]))
 
 
-def test_predicate_callable_matches_relation(std, setting):
-    st_rel, lower_op = setting
-    for a in std.universe.subsets():
-        via_rel = rational_lower(a, lower_op, st_rel)
-        via_fn = rational_lower(a, lower_op, st_rel.holds)
-        assert via_rel.value == via_fn.value
-        assert via_rel.trivial == via_fn.trivial
+@pytest.mark.parametrize("entry", [
+    lambda x, op, rel: rational_lower(x, op, rel),
+    lambda x, op, rel: rational_lower(x, op, rel, mode="exhaustive"),
+    lambda x, op, rel: rational_upper(x, op, op, rel),
+    lambda x, op, rel: check_rational_proposition(x.universe, op, rel,
+                                                  upper=op),
+], ids=["substantial", "exhaustive", "upper", "proposition"])
+def test_a_relation_over_another_universe_is_refused(std, entry):
+    # Same size, other names; the lower image is empty everywhere, so no
+    # sweep ever reaches a pair of the relation.
+    other = Universe(("y1", "y2", "y3", "y4"))
+    rel = build_parthood("s3", other, Granulation.of(other, (("y1", "y2"),
+                                                             ("y3", "y4"))))
+
+    def empty(x):
+        return x.universe.empty
+
+    with pytest.raises(ValueError, match="different universe"):
+        entry(std.universe.subset(("x1",)), empty, rel)
 
 
 def test_proposition_reports(std, setting):
@@ -337,3 +349,80 @@ def test_sweep_reports_keep_the_first_failures_of_a_plain_sweep(
         fails = plain[r.name]
         assert r.holds == (not fails), r.name
         assert r.witnesses == tuple(fails[:3]), r.name
+
+
+def plain_lower(a, lower, relation, mode):
+    """The rational lower value of ``a`` by the docstring's definition,
+    with ``relation.holds`` and ``ESet`` inclusion."""
+    u = a.universe
+    if mode == "substantial":
+        v = lower(a)
+        if not v.is_empty and relation.holds(v, a):
+            return (v, (("source", a),), False, ())
+        return (u.empty, (), True,
+                ("no substantial lower value; trivial fallback",))
+    definites = [e for e in u.subsets() if not e.is_empty and lower(e) == e]
+    qualifying = [c for c in u.subsets() if c <= a and all(
+        relation.holds(e, a) for e in definites if e <= c)]
+    best = max(qualifying, key=lambda c: lower(c).cardinality)
+    if lower(best).is_empty:
+        return (u.empty, (), True,
+                ("no substantial candidate; trivial fallback",))
+    return (lower(best), (("source", best),), False, ())
+
+
+def plain_upper(a, upper, lower, relation):
+    """The rational upper value of ``a`` by the docstring's definition."""
+    u = a.universe
+    definites = [e for e in u.subsets() if not e.is_empty and lower(e) == e]
+    images = {}
+    for z in u.subsets():
+        images.setdefault(upper(z), z)
+    qualifying = [b for b in sorted(images, key=lambda b: (b.cardinality,
+                                                           b.mask))
+                  if a <= b and b <= upper(a)
+                  and all(relation.holds(e, b) for e in definites if e <= b)]
+    if not qualifying:
+        return (None, (), False, ("no operator image qualifies",))
+    b = qualifying[0]
+    notes = ((f"{len(qualifying) - 1} larger candidate(s) also qualify",)
+             if len(qualifying) > 1 else ())
+    return (b, (("candidate", b), ("preimage", images[b])), False, notes)
+
+
+def assert_plain_values(u, lo, up, rows, mode):
+    relation = ParthoodRelation("custom", u, tuple(rows))
+    sets = list(u.subsets())
+
+    def lower(x):
+        return sets[lo[x.mask]]
+
+    def upper(x):
+        return sets[up[x.mask]]
+
+    def got(res):
+        return (res.value, res.witnesses, res.trivial, res.notes)
+
+    for x in sets:
+        assert got(rational_lower(x, lower, relation, mode=mode)) \
+            == plain_lower(x, lower, relation, mode), x
+        assert got(rational_upper(x, upper, lower, relation)) \
+            == plain_upper(x, upper, lower, relation), x
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_pairs(), st.sampled_from(LOWER_MODES), st.data())
+def test_searches_match_a_plain_loop_over_the_definitions(pair, mode, data):
+    u, _, lo, up = pair
+    n = u.full_mask + 1
+    rows = data.draw(st.lists(st.integers(0, 2 ** n - 1), min_size=n,
+                              max_size=n))
+    assert_plain_values(u, lo, up, rows, mode)
+
+
+def test_searches_match_a_plain_loop_where_size_and_mask_order_differ():
+    # Random tables rarely make two upper candidates whose size order and
+    # mask order disagree; here {e2} and {e0,e1} both qualify at {}.
+    u = Universe(("e0", "e1", "e2"))
+    assert_plain_values(u, [0] * 8, [7, 3, 4, 7, 4, 3, 3, 7], [0] * 8,
+                        "exhaustive")
