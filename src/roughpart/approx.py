@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .core import ESet, Granulation, Universe, _exact
 from .inclusion import InclusionFn, kappa_k0
@@ -53,38 +53,31 @@ def require_grade(k: int) -> int:
     return k
 
 
-def _bind(x: ESet, granulation: Granulation) -> None:
+def _union(x: ESet, granulation: Granulation,
+           keep: Callable[[int], bool]) -> ESet:
+    """The union of the granules whose mask passes ``keep``, as a subset
+    of the universe of ``x``, which must be the granulation's."""
     if x.universe != granulation.universe:
         raise ValueError("set and granulation belong to different universes")
+    return ESet(x.universe, granulation.union(keep))
 
 
 def classical_lower(x: ESet, granulation: Granulation) -> ESet:
     """Union of the granules contained in ``x``."""
-    _bind(x, granulation)
-    out = 0
-    for g in granulation:
-        if g.mask & ~x.mask == 0:
-            out |= g.mask
-    return ESet(x.universe, out)
+    return _union(x, granulation, lambda g: g & ~x.mask == 0)
 
 
 def classical_upper(x: ESet, granulation: Granulation) -> ESet:
     """Union of the granules meeting ``x``."""
-    _bind(x, granulation)
-    out = 0
-    for g in granulation:
-        if g.mask & x.mask:
-            out |= g.mask
-    return ESet(x.universe, out)
+    return _union(x, granulation, lambda g: g & x.mask != 0)
 
 
 def bited_upper(x: ESet, granulation: Granulation) -> ESet:
     """Classical upper approximation minus the lower approximation of the
     complement. Trims the upper estimate by everything that definitely
     belongs outside."""
-    _bind(x, granulation)
-    return classical_upper(x, granulation) - classical_lower(
-        x.complement(), granulation)
+    return _union(x, granulation, lambda g: g & x.mask != 0) - \
+        _union(x, granulation, lambda g: g & x.mask == 0)
 
 
 def _kappa_or_default(kappa: InclusionFn | None) -> InclusionFn:
@@ -101,30 +94,22 @@ def vprs_lower(x: ESet, granulation: Granulation,
     when it captures enough of ``x``, not when enough of the granule lies
     inside ``x``. At ``alpha = 0`` this is far stricter than the classical
     lower approximation: only a granule equal to ``x`` qualifies."""
-    _bind(x, granulation)
     kappa = _kappa_or_default(kappa)
     threshold = 1 - require_alpha(alpha)
-    out = 0
-    for g in granulation:
-        if g.mask & ~x.mask == 0 and \
-                kappa.on_masks(x.universe, x.mask, g.mask) >= threshold:
-            out |= g.mask
-    return ESet(x.universe, out)
+    u, xm = x.universe, x.mask
+    return _union(x, granulation, lambda g: g & ~xm == 0 and
+                  kappa.on_masks(u, xm, g) >= threshold)
 
 
 def vprs_upper(x: ESet, granulation: Granulation,
                kappa: InclusionFn | None = None,
                alpha: Fraction | int | str = 0) -> ESet:
     """Granules meeting ``x`` whose measured share exceeds ``alpha``."""
-    _bind(x, granulation)
     kappa = _kappa_or_default(kappa)
     alpha = require_alpha(alpha)
-    out = 0
-    for g in granulation:
-        if g.mask & x.mask and \
-                kappa.on_masks(x.universe, x.mask, g.mask) > alpha:
-            out |= g.mask
-    return ESet(x.universe, out)
+    u, xm = x.universe, x.mask
+    return _union(x, granulation, lambda g: g & xm != 0 and
+                  kappa.on_masks(u, xm, g) > alpha)
 
 
 def vprs_negative(x: ESet, granulation: Granulation,
@@ -132,15 +117,11 @@ def vprs_negative(x: ESet, granulation: Granulation,
                   alpha: Fraction | int | str = 0) -> ESet:
     """Granules meeting ``x`` whose measured share stays at or below
     ``alpha``: the confidently rejected region."""
-    _bind(x, granulation)
     kappa = _kappa_or_default(kappa)
     alpha = require_alpha(alpha)
-    out = 0
-    for g in granulation:
-        if g.mask & x.mask and \
-                kappa.on_masks(x.universe, x.mask, g.mask) <= alpha:
-            out |= g.mask
-    return ESet(x.universe, out)
+    u, xm = x.universe, x.mask
+    return _union(x, granulation, lambda g: g & xm != 0 and
+                  kappa.on_masks(u, xm, g) <= alpha)
 
 
 @dataclass(frozen=True)
@@ -172,14 +153,11 @@ def vprs_star_lower(x: ESet, granulation: Granulation,
     set the default measure reports full inclusion for every granule, so
     the result is the whole granulation's union; that is the intended
     reading, not an accident."""
-    _bind(x, granulation)
     kappa = _kappa_or_default(kappa)
     threshold = 1 - require_alpha(alpha)
-    out = 0
-    for g in granulation:
-        if kappa.on_masks(x.universe, x.mask, g.mask) >= threshold:
-            out |= g.mask
-    return ESet(x.universe, out)
+    u, xm = x.universe, x.mask
+    return _union(x, granulation,
+                  lambda g: kappa.on_masks(u, xm, g) >= threshold)
 
 
 def vprs_star_upper(x: ESet, granulation: Granulation,
@@ -187,14 +165,10 @@ def vprs_star_upper(x: ESet, granulation: Granulation,
                     alpha: Fraction | int | str = 0) -> ESet:
     """Clause-free upper form: granules whose measured share exceeds
     ``alpha``."""
-    _bind(x, granulation)
     kappa = _kappa_or_default(kappa)
     alpha = require_alpha(alpha)
-    out = 0
-    for g in granulation:
-        if kappa.on_masks(x.universe, x.mask, g.mask) > alpha:
-            out |= g.mask
-    return ESet(x.universe, out)
+    u, xm = x.universe, x.mask
+    return _union(x, granulation, lambda g: kappa.on_masks(u, xm, g) > alpha)
 
 
 @dataclass(frozen=True)
@@ -257,13 +231,25 @@ def _as_neighborhoods(universe: Universe,
         items = tuple(neighborhoods.items())
     else:
         items = tuple(neighborhoods)
-    named = {name for name, _ in items}
-    if named != set(universe.elements):
+    names = [name for name, _ in items]
+    if len(set(names)) != len(names):
+        raise ValueError("neighborhood map names an element twice")
+    if set(names) != set(universe.elements):
         raise ValueError("neighborhood map must cover the universe exactly")
     for name, n in items:
         if n.universe != universe:
             raise ValueError("neighborhood bound to a different universe")
     return items
+
+
+def _points(x: ESet, neighborhoods: NeighborhoodMap | Mapping[str, ESet],
+            keep: Callable[[int], bool]) -> ESet:
+    """The points whose neighborhood mask passes ``keep``."""
+    out = 0
+    for name, n in _as_neighborhoods(x.universe, neighborhoods):
+        if keep(n.mask):
+            out |= 1 << x.universe.index(name)
+    return ESet(x.universe, out)
 
 
 def pointwise_lower(x: ESet, neighborhoods: NeighborhoodMap | Mapping[str, ESet],
@@ -273,12 +259,9 @@ def pointwise_lower(x: ESet, neighborhoods: NeighborhoodMap | Mapping[str, ESet]
     least ``1 - alpha`` against ``x``."""
     kappa = _kappa_or_default(kappa)
     threshold = 1 - require_alpha(alpha)
-    items = _as_neighborhoods(x.universe, neighborhoods)
-    out = 0
-    for name, n in items:
-        if kappa.on_masks(x.universe, x.mask, n.mask) >= threshold:
-            out |= 1 << x.universe.index(name)
-    return ESet(x.universe, out)
+    u, xm = x.universe, x.mask
+    return _points(x, neighborhoods,
+                   lambda n: kappa.on_masks(u, xm, n) >= threshold)
 
 
 def pointwise_upper(x: ESet, neighborhoods: NeighborhoodMap | Mapping[str, ESet],
@@ -288,48 +271,31 @@ def pointwise_upper(x: ESet, neighborhoods: NeighborhoodMap | Mapping[str, ESet]
     strictly above ``alpha`` against ``x``."""
     kappa = _kappa_or_default(kappa)
     alpha = require_alpha(alpha)
-    items = _as_neighborhoods(x.universe, neighborhoods)
-    out = 0
-    for name, n in items:
-        if kappa.on_masks(x.universe, x.mask, n.mask) > alpha:
-            out |= 1 << x.universe.index(name)
-    return ESet(x.universe, out)
+    u, xm = x.universe, x.mask
+    return _points(x, neighborhoods,
+                   lambda n: kappa.on_masks(u, xm, n) > alpha)
 
 
 def graded_upper(x: ESet, granulation: Granulation, k: int) -> ESet:
     """Granules sharing strictly more than ``k`` elements with ``x``."""
-    _bind(x, granulation)
     k = require_grade(k)
-    out = 0
-    for g in granulation:
-        if (g.mask & x.mask).bit_count() > k:
-            out |= g.mask
-    return ESet(x.universe, out)
+    return _union(x, granulation, lambda g: (g & x.mask).bit_count() > k)
 
 
 def graded_lower(x: ESet, granulation: Granulation, k: int) -> ESet:
     """Granules leaking at most ``k`` elements outside ``x``. This is the
     deficit reading of the lower grade; it admits granules that barely
     touch ``x`` when they are small enough."""
-    _bind(x, granulation)
     k = require_grade(k)
-    out = 0
-    for g in granulation:
-        if (g.mask & ~x.mask).bit_count() <= k:
-            out |= g.mask
-    return ESet(x.universe, out)
+    return _union(x, granulation, lambda g: (g & ~x.mask).bit_count() <= k)
 
 
 def graded_lower_strict(x: ESet, granulation: Granulation, k: int) -> ESet:
     """Granules contained in ``x`` that also share strictly more than
     ``k`` elements with it: the containment reading of the lower grade."""
-    _bind(x, granulation)
     k = require_grade(k)
-    out = 0
-    for g in granulation:
-        if g.mask & ~x.mask == 0 and (g.mask & x.mask).bit_count() > k:
-            out |= g.mask
-    return ESet(x.universe, out)
+    return _union(x, granulation, lambda g: g & ~x.mask == 0 and
+                  (g & x.mask).bit_count() > k)
 
 
 @dataclass(frozen=True)

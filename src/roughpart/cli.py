@@ -521,7 +521,7 @@ def cmd_correspond(args: argparse.Namespace) -> int:
                 "members": [m.label() for m in block.members],
                 "verified": block.verified,
             })
-    report = check_nonrepresentability(universe, granulation, k)
+    report = check_nonrepresentability(universe, k)
     sizes = dict(report.parameters).get("nonrepresentable-sizes", "")
     payload = {
         "blocks": json_blocks,

@@ -264,16 +264,18 @@ class Granulation:
     def masks(self) -> tuple[int, ...]:
         return tuple(g.mask for g in self.granules)
 
-    @property
-    def union_mask(self) -> int:
+    def union(self, keep: Callable[[int], bool]) -> int:
+        """The mask of the union of the granules whose mask passes
+        ``keep``."""
         out = 0
         for g in self.granules:
-            out |= g.mask
+            if keep(g.mask):
+                out |= g.mask
         return out
 
     @property
     def covers(self) -> bool:
-        return self.union_mask == self.universe.full_mask
+        return self.union(lambda g: True) == self.universe.full_mask
 
     def __len__(self) -> int:
         return len(self.granules)
@@ -395,8 +397,7 @@ def _sweep_report(name: str, failures: Iterable[Witness], size: int,
 _LATTICE_AXIOMS = ("PT1", "PT2", "G1", "G2", "G3", "G4", "G5")
 
 
-def check_ggs_axioms(universe: Universe, granulation: Granulation,
-                     lower: Operator,
+def check_ggs_axioms(universe: Universe, lower: Operator,
                      upper: Operator) -> tuple[CheckReport, ...]:
     """Evaluate the framework's structural axioms for a set instantiation.
 
@@ -443,17 +444,12 @@ def check_admissibility(universe: Universe, granulation: Granulation,
     approximation.
     """
     _check_cap(universe.size, EXHAUSTIVE_CAP, "the admissibility check")
+    if granulation.universe != universe:
+        raise ValueError("granulation belongs to a different universe")
     lo = image_table(universe, lower)
     up = image_table(universe, upper)
     gmasks = granulation.masks
     masks = range(universe.full_mask + 1)
-
-    def union_of_contained(value: int) -> int:
-        out = 0
-        for g in gmasks:
-            if g & ~value == 0:
-                out |= g
-        return out
 
     def e(name: str, mask: int) -> Binding:
         return binding(name, ESet(universe, mask))
@@ -463,7 +459,8 @@ def check_admissibility(universe: Universe, granulation: Granulation,
         _sweep_report("weak-representability", (
             (e("a", a), ("operator", (tag,)), e("value", v))
             for a in masks for tag, v in (("lower", lo[a]), ("upper", up[a]))
-            if union_of_contained(v) != v), universe.size),
+            if granulation.union(lambda g: g & ~v == 0) != v),
+            universe.size),
         _sweep_report("lower-stability", (
             (e("granule", g), e("a", a)) for g in gmasks for a in masks
             if g & ~a == 0 and g & ~lo[a]), universe.size),

@@ -88,14 +88,6 @@ def lower_threshold(x: ESet, alpha: Fraction) -> int:
     return math.ceil((1 - alpha) * x.cardinality)
 
 
-def _threshold_route(x: ESet, granulation: Granulation, m: int) -> ESet:
-    out = 0
-    for g in granulation:
-        if (g.mask & x.mask).bit_count() >= m:
-            out |= g.mask
-    return ESet(x.universe, out)
-
-
 def _build(universe: Universe, granulation: Granulation, alpha: Fraction,
            side: str) -> GradePartition:
     _check_cap(universe.size, EXHAUSTIVE_CAP, "the correspondence sweep")
@@ -108,8 +100,8 @@ def _build(universe: Universe, granulation: Granulation, alpha: Fraction,
     for m, image in enumerate(via_measure):
         x = ESet(universe, m)
         t = thresh(x, alpha)
-        via_count = _threshold_route(x, granulation, t)
-        by_threshold.setdefault(t, []).append((x, image == via_count.mask))
+        via_count = granulation.union(lambda g: (g & m).bit_count() >= t)
+        by_threshold.setdefault(t, []).append((x, image == via_count))
     blocks = []
     for t in sorted(by_threshold):
         entries = by_threshold[t]
@@ -149,8 +141,7 @@ def build_lower_correspondence(universe: Universe, granulation: Granulation,
     return _build(universe, granulation, require_alpha(alpha), "lower")
 
 
-def check_nonrepresentability(universe: Universe, granulation: Granulation,
-                              k: int) -> CheckReport:
+def check_nonrepresentability(universe: Universe, k: int) -> CheckReport:
     """Find the subsets on which grade ``k`` matches no precision.
 
     A nonempty subset of size ``n`` needs a precision with

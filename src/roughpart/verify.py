@@ -56,13 +56,7 @@ from .inclusion import (
     kappa_k2,
     kappa_st,
 )
-from .approx import (
-    ApproxSpec,
-    classical_lower,
-    classical_upper,
-    vprs_lower,
-    vprs_tables,
-)
+from .approx import ApproxSpec, vprs_lower, vprs_tables
 from .parthood import analyze_properties, build_parthood, build_pu
 from .rational import check_rational_proposition, rational_lower, rational_upper
 from .correspond import (
@@ -410,8 +404,9 @@ def _grif_check(fixture: Fixture) -> list[_Eval]:
     full = universe.full_mask
     masks = range(full + 1)
     sets = [ESet(universe, m) for m in masks]
-    cl = image_table(universe, lambda s: classical_lower(s, g))
-    cu = image_table(universe, lambda s: classical_upper(s, g))
+    spec = ApproxSpec(g)
+    cl = image_table(universe, spec.operator("l"))
+    cu = image_table(universe, spec.operator("u"))
     img = {"l": cl, "u": cu}
     # The public route reads the operators' tables instead of recomputing.
     lo_op = lambda x: sets[cl[x.mask]]
@@ -741,12 +736,8 @@ def _rational_check() -> list[_Eval]:
                        "nontrivial exactly at the four recorded points"
                        if not ces else ""))
 
-    def up_op(x: ESet) -> ESet:
-        return classical_upper(x, g)
-
-    def lo_op(x: ESet) -> ESet:
-        return classical_lower(x, g)
-
+    spec = ApproxSpec(g)
+    up_op, lo_op = spec.operator("u"), spec.operator("l")
     one = universe.subset(("x1",))
     strict = build_parthood("s6", universe, g, k=3)
     loose = build_parthood("s6", universe, g, k=0)
@@ -787,8 +778,7 @@ def _correspond_check(fixture: Fixture, alpha: Fraction) -> list[_Eval]:
 
 def _nonrepresentability_check() -> list[_Eval]:
     fixture = standard_fixture()
-    report = check_nonrepresentability(fixture.universe,
-                                       fixture.granulation, 1)
+    report = check_nonrepresentability(fixture.universe, 1)
     sizes = dict(report.parameters).get("nonrepresentable-sizes", "")
     singles = {("x1",), ("x2",), ("x3",), ("x4",)}
     witnessed = {w[0][1] for w in report.witnesses}
@@ -802,16 +792,11 @@ def _ggs_check() -> list[_Eval]:
     fixture = standard_fixture()
     universe = fixture.universe
     g = fixture.granulation
-
-    def lo(x: ESet) -> ESet:
-        return classical_lower(x, g)
-
-    def up(x: ESet) -> ESet:
-        return classical_upper(x, g)
-
+    spec = ApproxSpec(g)
+    lo, up = spec.operator("l"), spec.operator("u")
     evals = []
     for clause, reports in (
-            ("axioms-classical", check_ggs_axioms(universe, g, lo, up)),
+            ("axioms-classical", check_ggs_axioms(universe, lo, up)),
             ("admissibility-classical",
              check_admissibility(universe, g, lo, up))):
         ces = (Counterexample("standard", "", "",

@@ -328,7 +328,7 @@ def test_criterion_08_grade_correspondences():
     for o in result.outcomes:
         assert o.holds, o.clause
     fx = standard_fixture()
-    report = check_nonrepresentability(fx.universe, fx.granulation, 1)
+    report = check_nonrepresentability(fx.universe, 1)
     flagged = {w[0][1] for w in report.witnesses}
     for name in fx.universe.elements:
         assert (name,) in flagged

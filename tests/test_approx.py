@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 from roughpart import (
     ApproxSpec,
     ESet,
+    Granulation,
     OPERATOR_IDS,
+    Universe,
     bited_upper,
     classical_lower,
     classical_upper,
@@ -96,6 +98,37 @@ def test_pointwise_operators_demand_exact_coverage(std):
         pointwise_lower(s["{x1}"], partial, kappa_k0(), ALPHA)
 
 
+def test_neighborhood_map_refuses_a_repeated_name():
+    u = Universe(("x1", "x2"))
+    g = Granulation.of(u, [["x1"], ["x2"]])
+    twice = ((("x1", u.subset(("x1",))), ("x1", u.subset(("x2",))),
+              ("x2", u.subset(("x2",)))))
+    with pytest.raises(ValueError, match="twice"):
+        pointwise_lower(u.subset(("x2",)), twice, kappa_k0(), 0)
+    with pytest.raises(ValueError, match="twice"):
+        pointwise_upper(u.subset(("x2",)), twice, kappa_k0(), 0)
+    with pytest.raises(ValueError, match="twice"):
+        ApproxSpec(g, None, 0, 0, twice)
+
+
+GRANULE_OPERATORS = (
+    classical_lower, classical_upper, bited_upper,
+    vprs_lower, vprs_upper, vprs_negative, vprs_star_lower, vprs_star_upper,
+)
+GRADED_OPERATORS = (graded_upper, graded_lower, graded_lower_strict)
+
+
+@pytest.mark.parametrize("op", GRANULE_OPERATORS + GRADED_OPERATORS,
+                         ids=lambda op: op.__name__)
+def test_granule_operators_refuse_a_set_of_another_universe(std, op):
+    """A set over a universe other than the granulation's is refused,
+    even when its mask fits the granulation's universe."""
+    other = Universe(("y1", "y2", "y3", "y4"))
+    grade = (0,) if op in GRADED_OPERATORS else ()
+    with pytest.raises(ValueError, match="different universes"):
+        op(other.subset(("y1",)), std.granulation, *grade)
+
+
 def test_graded_operators_count_rather_than_measure(std):
     s = subsets_by_label(std)
     g = std.granulation
@@ -179,3 +212,55 @@ def test_vprs_tables_match_the_per_set_operators(ugx, kappa, alpha):
             vprs_star_lower(x, g, kappa, alpha).mask
         assert tables.star_upper[m] == \
             vprs_star_upper(x, g, kappa, alpha).mask
+
+
+def _plain_images(x, granulation, neighborhoods, kappa, alpha, k):
+    """Every operator's image of ``x``, as a set of member names,
+    recomputed from its docstring with plain loops over member sets."""
+    xs = frozenset(x.members)
+    outside = frozenset(x.universe.elements) - xs
+
+    def union(keep):
+        out = set()
+        for g in granulation:
+            gs = frozenset(g.members)
+            if keep(gs, kappa(x, g)):
+                out |= gs
+        return out
+
+    def points(keep):
+        return {name for name, n in neighborhoods if keep(kappa(x, n))}
+
+    return {
+        "l": union(lambda g, v: g <= xs),
+        "u": union(lambda g, v: bool(g & xs)),
+        "u_b": union(lambda g, v: bool(g & xs))
+        - union(lambda g, v: g <= outside),
+        "l_alpha": union(lambda g, v: g <= xs and v >= 1 - alpha),
+        "u_alpha": union(lambda g, v: bool(g & xs) and v > alpha),
+        "neg_alpha": union(lambda g, v: bool(g & xs) and v <= alpha),
+        "l_alpha_star": union(lambda g, v: v >= 1 - alpha),
+        "u_alpha_star": union(lambda g, v: v > alpha),
+        "l_alpha_pt": points(lambda v: v >= 1 - alpha),
+        "u_alpha_pt": points(lambda v: v > alpha),
+        "l_grade": union(lambda g, v: len(g - xs) <= k),
+        "l_grade_strict": union(lambda g, v: g <= xs and len(g & xs) > k),
+        "u_grade": union(lambda g, v: len(g & xs) > k),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_fixtures(), measures(), precisions, st.integers(0, 3),
+       st.data())
+def test_every_operator_matches_a_plain_loop(ugx, kappa, alpha, k, data):
+    u, g, _ = ugx
+    neighborhoods = tuple(
+        (name, ESet(u, data.draw(st.integers(0, u.full_mask))))
+        for name in u.elements)
+    spec = ApproxSpec(g, kappa, alpha, k, neighborhoods)
+    for x in u.subsets():
+        want = _plain_images(x, g, neighborhoods, kappa, alpha, k)
+        assert set(want) == set(OPERATOR_IDS)
+        for op_id in OPERATOR_IDS:
+            got = spec.operator(op_id)(x)
+            assert set(got.members) == want[op_id], (op_id, x.label())

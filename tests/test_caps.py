@@ -56,7 +56,7 @@ CASES = [
     ("Universe.subsets", lambda: next(U25.subsets()),
      "a powerset sweep", 25, 24),
     ("check_ggs_axioms",
-     lambda: check_ggs_axioms(U25, G25, _untouched, _untouched),
+     lambda: check_ggs_axioms(U25, _untouched, _untouched),
      "the structural axiom check", 25, 24),
     ("check_admissibility",
      lambda: check_admissibility(U25, G25, _untouched, _untouched),
@@ -94,7 +94,7 @@ CASES = [
      lambda: build_lower_correspondence(U25, G13, 0),
      "the correspondence sweep", 25, 24),
     ("check_nonrepresentability",
-     lambda: check_nonrepresentability(U25, G25, 0),
+     lambda: check_nonrepresentability(U25, 0),
      "the representability sweep", 25, 24),
 ]
 

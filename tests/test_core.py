@@ -170,7 +170,7 @@ def test_ggs_axioms_all_hold_for_classical_operators(std):
     def up(x):
         return classical_upper(x, g)
 
-    reports = check_ggs_axioms(std.universe, g, lo, up)
+    reports = check_ggs_axioms(std.universe, lo, up)
     assert [r.name for r in reports] == [
         "PT1", "PT2", "G1", "G2", "G3", "G4", "G5",
         "UL1", "UL2", "UL3", "TB"]
@@ -186,7 +186,7 @@ def test_ggs_axioms_report_failing_operator_axioms(std):
     def up(x):
         return x.universe.full
 
-    reports = check_ggs_axioms(std.universe, g, lo, up)
+    reports = check_ggs_axioms(std.universe, lo, up)
     assert [r.name for r in reports] == [
         "PT1", "PT2", "G1", "G2", "G3", "G4", "G5",
         "UL1", "UL2", "UL3", "TB"]
@@ -215,6 +215,18 @@ def test_admissibility_holds_for_classical_operators(std):
     assert all(r.holds for r in reports)
 
 
+def test_admissibility_refuses_a_granulation_of_another_universe():
+    u = Universe(("x1", "x2"))
+    foreign = Universe(("y1", "y2"))
+    g = Granulation.of(foreign, [["y1"], ["y2"]])
+
+    def op(x):
+        return x
+
+    with pytest.raises(ValueError, match="different universe"):
+        check_admissibility(u, g, op, op)
+
+
 def test_ul2_fails_for_precision_thresholded_operators(std):
     g = std.granulation
 
@@ -224,7 +236,7 @@ def test_ul2_fails_for_precision_thresholded_operators(std):
     def up(x):
         return vprs_upper(x, g, None, "3/10")
 
-    reports = {r.name: r for r in check_ggs_axioms(std.universe, g, lo, up)}
+    reports = {r.name: r for r in check_ggs_axioms(std.universe, lo, up)}
     assert not reports["UL2"].holds
     assert reports["UL2"].witnesses
 
@@ -279,7 +291,7 @@ def test_reports_keep_the_first_failures_of_a_plain_sweep(pair):
         return ESet(u, up[x.mask])
 
     plain = _plain_failures(u, g, lo, up)
-    reports = check_ggs_axioms(u, g, lower, upper) \
+    reports = check_ggs_axioms(u, lower, upper) \
         + check_admissibility(u, g, lower, upper)
     for r in reports:
         fails = plain.get(r.name, [])

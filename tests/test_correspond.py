@@ -107,14 +107,14 @@ def test_lower_note_counts_deficit_agreement(std):
 
 
 def test_nonrepresentability_grades(std):
-    u, g = std.universe, std.granulation
-    zero = check_nonrepresentability(u, g, 0)
+    u = std.universe
+    zero = check_nonrepresentability(u, 0)
     assert not zero.holds
     assert len(zero.witnesses) == 1
     assert zero.witnesses[0][0] == ("x", ())
     assert dict(zero.parameters)["nonrepresentable-sizes"] == "0"
 
-    one = check_nonrepresentability(u, g, 1)
+    one = check_nonrepresentability(u, 1)
     assert not one.holds
     assert dict(one.parameters)["nonrepresentable-sizes"] == "0,1,2"
     flagged = {w[0][1] for w in one.witnesses}
@@ -122,7 +122,7 @@ def test_nonrepresentability_grades(std):
     for name in u.elements:
         assert (name,) in flagged
 
-    two = check_nonrepresentability(u, g, 2)
+    two = check_nonrepresentability(u, 2)
     assert dict(two.parameters)["nonrepresentable-sizes"] == "0,1,2,3,4"
     assert len(two.witnesses) == 16
 
@@ -132,4 +132,4 @@ def test_partition_validation(std):
         build_upper_correspondence(std.universe, std.granulation,
                                    Fraction(1, 2))
     with pytest.raises(ValueError):
-        check_nonrepresentability(std.universe, std.granulation, -1)
+        check_nonrepresentability(std.universe, -1)
