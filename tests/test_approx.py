@@ -101,8 +101,8 @@ def test_pointwise_operators_demand_exact_coverage(std):
 def test_neighborhood_map_refuses_a_repeated_name():
     u = Universe(("x1", "x2"))
     g = Granulation.of(u, [["x1"], ["x2"]])
-    twice = ((("x1", u.subset(("x1",))), ("x1", u.subset(("x2",))),
-              ("x2", u.subset(("x2",)))))
+    twice = (("x1", u.subset(("x1",))), ("x1", u.subset(("x2",))),
+             ("x2", u.subset(("x2",))))
     with pytest.raises(ValueError, match="twice"):
         pointwise_lower(u.subset(("x2",)), twice, kappa_k0(), 0)
     with pytest.raises(ValueError, match="twice"):
