@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import le, lt
 from typing import Callable, Mapping, Sequence
 
 from .core import ESet, Granulation, Universe, _exact
@@ -242,14 +243,29 @@ def _as_neighborhoods(universe: Universe,
     return items
 
 
-def _points(x: ESet, neighborhoods: NeighborhoodMap | Mapping[str, ESet],
-            keep: Callable[[int], bool]) -> ESet:
-    """The points whose neighborhood mask passes ``keep``."""
+# The score test of each pointwise operator at a checked precision:
+# 1 - alpha <= v for the lower, alpha < v for the upper.
+_POINTWISE_KEEP = {
+    "l_alpha_pt": lambda alpha: functools.partial(le, 1 - alpha),
+    "u_alpha_pt": lambda alpha: functools.partial(lt, alpha),
+}
+
+
+def _points(x: ESet, items: tuple[tuple[str, ESet], ...],
+            universe: Universe, kappa: InclusionFn | None,
+            keep: Callable[[Fraction], bool]) -> ESet:
+    """The points whose neighborhood's score against ``x`` passes
+    ``keep``, from a map already checked to cover ``universe``, which
+    must be the universe of ``x``."""
+    if x.universe != universe:
+        raise ValueError("set and neighborhood map belong to different "
+                         "universes")
+    kappa = _kappa_or_default(kappa)
     out = 0
-    for name, n in _as_neighborhoods(x.universe, neighborhoods):
-        if keep(n.mask):
-            out |= 1 << x.universe.index(name)
-    return ESet(x.universe, out)
+    for name, n in items:
+        if keep(kappa.on_masks(universe, x.mask, n.mask)):
+            out |= 1 << universe.index(name)
+    return ESet(universe, out)
 
 
 def pointwise_lower(x: ESet, neighborhoods: NeighborhoodMap | Mapping[str, ESet],
@@ -257,11 +273,9 @@ def pointwise_lower(x: ESet, neighborhoods: NeighborhoodMap | Mapping[str, ESet]
                     alpha: Fraction | int | str = 0) -> ESet:
     """Elementwise lower region: the points whose neighborhood scores at
     least ``1 - alpha`` against ``x``."""
-    kappa = _kappa_or_default(kappa)
-    threshold = 1 - require_alpha(alpha)
-    u, xm = x.universe, x.mask
-    return _points(x, neighborhoods,
-                   lambda n: kappa.on_masks(u, xm, n) >= threshold)
+    return _points(x, _as_neighborhoods(x.universe, neighborhoods),
+                   x.universe, kappa,
+                   _POINTWISE_KEEP["l_alpha_pt"](require_alpha(alpha)))
 
 
 def pointwise_upper(x: ESet, neighborhoods: NeighborhoodMap | Mapping[str, ESet],
@@ -269,11 +283,9 @@ def pointwise_upper(x: ESet, neighborhoods: NeighborhoodMap | Mapping[str, ESet]
                     alpha: Fraction | int | str = 0) -> ESet:
     """Elementwise upper region: the points whose neighborhood scores
     strictly above ``alpha`` against ``x``."""
-    kappa = _kappa_or_default(kappa)
-    alpha = require_alpha(alpha)
-    u, xm = x.universe, x.mask
-    return _points(x, neighborhoods,
-                   lambda n: kappa.on_masks(u, xm, n) > alpha)
+    return _points(x, _as_neighborhoods(x.universe, neighborhoods),
+                   x.universe, kappa,
+                   _POINTWISE_KEEP["u_alpha_pt"](require_alpha(alpha)))
 
 
 def graded_upper(x: ESet, granulation: Granulation, k: int) -> ESet:
@@ -371,14 +383,13 @@ class ApproxSpec:
         }
         if op_id in simple:
             return simple[op_id]
-        if op_id in ("l_alpha_pt", "u_alpha_pt"):
+        if op_id in _POINTWISE_KEEP:
             if self.neighborhoods is None:
                 raise ValueError(
                     f"operator {op_id!r} needs a neighborhood map")
-            nb = self.neighborhoods
-            if op_id == "l_alpha_pt":
-                return lambda x: pointwise_lower(x, nb, kap, alpha)
-            return lambda x: pointwise_upper(x, nb, kap, alpha)
+            # The map was checked once, in __post_init__.
+            nb, keep = self.neighborhoods, _POINTWISE_KEEP[op_id](alpha)
+            return lambda x: _points(x, nb, g.universe, kap, keep)
         raise ValueError(
             f"unknown operator {op_id!r}; valid identifiers: "
             f"{', '.join(OPERATOR_IDS)}"

@@ -20,6 +20,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -177,6 +178,99 @@ def _join_escapes(line: int, p: int,
     for q in iter_bits(line & ~((2 << p) - 1)):
         if not line >> (p | q) & 1:
             yield q
+
+
+# A relation over a size-element universe packs into one int of 4^size
+# bits, line a (a row or a column) at bit a·2^size, so that one
+# big-integer operation acts on every line at once.
+
+def _tile(block: int, period: int, width: int) -> int:
+    """``block`` repeated every ``period`` bits across ``width`` bits,
+    for powers of two ``period <= width``."""
+    while period < width:
+        block |= block << period
+        period *= 2
+    return block
+
+
+@functools.cache
+def _packed_masks(size: int) -> tuple[tuple[int, ...], tuple[int, ...],
+                                      int]:
+    """Masks over a packed relation, from the bit planes of ``size``:
+    per element i, the bits of every line whose mask holds i; per
+    transpose round k, the bits whose line index lacks element k and
+    whose mask within the line holds it; and bit 0 of every line."""
+    planes, _ = _bit_planes(size)
+    width = 1 << size
+    total = width << size
+    highs = tuple(_tile(planes[1 << i][0], width, total)
+                  for i in range(size))
+    swaps = tuple(_tile(_tile(planes[1 << k][0], width, width << k),
+                        width << (k + 1), total) for k in range(size))
+    return highs, swaps, _tile(1, width, total)
+
+
+def _pack(lines: Sequence[int], width: int) -> int:
+    """A power-of-two count of lines of ``width`` bits as one int, line
+    a at bit a·width."""
+    parts = list(lines)
+    while len(parts) > 1:
+        parts = [lo | hi << width for lo, hi in zip(parts[::2], parts[1::2])]
+        width *= 2
+    return parts[0]
+
+
+def _unpack(packed: int, width: int, count: int) -> list[int]:
+    """The ``count`` lines of ``width`` bits of a packed int, the
+    inverse of :func:`_pack`."""
+    parts, span = [packed], width * count
+    while span > width:
+        span //= 2
+        cut = (1 << span) - 1
+        parts = [part for whole in parts
+                 for part in (whole & cut, whole >> span)]
+    return parts
+
+
+def _transpose(packed: int, size: int) -> int:
+    """The packed relation with rows and columns swapped: round k swaps
+    bit k of the line index with bit k of the mask within the line."""
+    for k, mask in enumerate(_packed_masks(size)[1]):
+        shift = ((1 << size) - 1) << k
+        moved = (packed ^ packed >> shift) & mask
+        packed ^= moved | moved << shift
+    return packed
+
+
+def _union_open(lines: Sequence[int], size: int) -> int:
+    """The bitset of the lines, each a family of masks of a
+    ``size``-element universe, that are not closed under union.
+
+    A family F is closed exactly when every nonempty fixed point of
+    J(x) = ∪{f ∈ F : f ⊆ x} is in F. J over every x is the
+    OR-over-subsets (zeta) transform, run bit-sliced over the distinct
+    lines packed side by side: bit x of plane j holds whether j ∈ J(x),
+    and one shifted OR per element and plane carries each member up to
+    its supersets. The empty set is a fixed point that F need not hold.
+    """
+    distinct = list(dict.fromkeys(lines))
+    count = 1 << (len(distinct) - 1).bit_length()
+    width = 1 << size
+    everything = (1 << count * width) - 1
+    highs, _, empties = _packed_masks(size)
+    if count < width:  # fewer lines than masks: cut the masks to fit
+        highs = [high & everything for high in highs]
+    packed = _pack(distinct + [0] * (count - len(distinct)), width)
+    joins = [packed & high for high in highs]
+    for i, high in enumerate(highs):
+        low, shift = everything ^ high, 1 << i
+        joins = [plane | (plane & low) << shift for plane in joins]
+    settled = packed | (empties & everything)
+    for plane, high in zip(joins, highs):
+        settled |= plane ^ high
+    failing = {line for line, bits in zip(
+        distinct, _unpack(settled ^ everything, width, count)) if bits}
+    return sum(1 << a for a, line in enumerate(lines) if line in failing)
 
 
 def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
@@ -376,18 +470,14 @@ def analyze_properties(relation: ParthoodRelation) -> PropertyProfile:
     universe = relation.universe
     _check_cap(universe.size, TRIPLE_CAP, "the property triple sweep")
     eq = _rough_equal_rows(relation)
+    size = universe.size
     masks = range(universe.full_mask + 1)
     rows = relation.rows
-    # Columns from the set bits of each distinct row and the sets that
-    # share it.
-    sharing: dict[int, int] = {}
-    for am, row in enumerate(rows):
-        sharing[row] = sharing.get(row, 0) | 1 << am
-    cols = [0] * len(rows)
-    for row, bits in sharing.items():
-        for bm in iter_bits(row):
-            cols[bm] |= bits
-    planes, up = _bit_planes(universe.size)
+    if len(rows) != len(masks) or any(row >> len(masks) for row in rows):
+        raise ValueError("a relation needs one row of 2^n bits per subset")
+    cols = _unpack(_transpose(_pack(rows, 1 << size), size), 1 << size,
+                   1 << size)
+    planes, up = _bit_planes(size)
 
     def ev(m: int) -> ESet:
         return ESet(universe, m)
@@ -395,7 +485,6 @@ def analyze_properties(relation: ParthoodRelation) -> PropertyProfile:
     def w(**kw: int) -> Witness:
         return tuple(binding(name, ev(m)) for name, m in kw.items())
 
-    # Failures of these three in row m exist or not by the row alone.
     def unjoined(am: int) -> Iterator[tuple[int, ...]]:
         return ((am, em, bm) for em in iter_bits(rows[am])
                 for bm in _join_escapes(rows[am], em, planes))
@@ -404,11 +493,37 @@ def analyze_properties(relation: ParthoodRelation) -> PropertyProfile:
         return _first_bits((bm, am, rows[bm] & up[am] & ~rows[am])
                            for am in iter_bits(rows[bm]))
 
+    def right_escapes(am: int) -> Iterator[tuple[int, ...]]:
+        return _first_bits((am, bm, cols[bm] & up[am] & ~rows[am])
+                           for bm in iter_bits(rows[am]))
+
+    # Failures of transitivity in row m exist or not by the row alone.
     def untransferred(am: int) -> Iterator[tuple[int, ...]]:
         return _first_bits((am, bm, rows[bm] & ~rows[am])
                            for bm in iter_bits(rows[am]))
 
+    # The euclidean rules fail only through a pair a ⊆ e that the
+    # relation lacks: r-euclidean in row a when some row of such an e
+    # meets row a, l-euclidean in each row b holding both a and e.
+    def right_fails(am: int) -> bool:
+        return rows[am] != 0 and any(rows[em] & rows[am] for em
+                                     in iter_bits(up[am] & ~rows[am]))
+
+    left_open = 0
+    for am in masks:
+        if cols[am]:
+            reach = 0
+            for em in iter_bits(up[am] & ~rows[am]):
+                reach |= cols[em]
+            left_open |= cols[am] & reach
+    open_rows = _union_open(rows, size)
+    open_cols = _union_open(cols, size)
+
     # Each property yields its failures lazily, in sorted pair order.
+    # Where a whole-relation test finds the failing lines first, the
+    # witness loop runs on the first failing row (iter_bits(x & -x)
+    # yields the lowest bit of x) or, for join-stable, the failing
+    # columns only.
     failures: dict[str, Iterator[Witness]] = {
         "reflexive": (w(a=m) for m in masks if not rows[m] >> m & 1),
         "part-compatible": (w(a=a, b=b) for a, b in _first_bits(
@@ -418,18 +533,20 @@ def analyze_properties(relation: ParthoodRelation) -> PropertyProfile:
             for m in masks)),
         # A failing join is symmetric in its two sets, so the first
         # witness of either join rule has b after its partner e or a.
-        "join-compatible": (w(a=a, e=e, b=b) for a, e, b
-                            in _by_distinct_rows(rows, unjoined)),
-        "l-euclidean": (w(a=a, b=b, e=e) for b, a, e
-                        in _by_distinct_rows(rows, left_escapes)),
-        "r-euclidean": (w(a=a, b=b, e=e) for a, b, e in _first_bits(
-            (am, bm, cols[bm] & up[am] & ~rows[am])
-            for am in masks for bm in iter_bits(rows[am]))),
+        "join-compatible": (w(a=a, e=e, b=b)
+                            for row in iter_bits(open_rows & -open_rows)
+                            for a, e, b in unjoined(row)),
+        "l-euclidean": (w(a=a, b=b, e=e)
+                        for row in iter_bits(left_open & -left_open)
+                        for b, a, e in left_escapes(row)),
+        "r-euclidean": (w(a=a, b=b, e=e)
+                        for row in islice(filter(right_fails, masks), 1)
+                        for a, b, e in right_escapes(row)),
         "antisymmetric": (w(a=a, b=b) for a, b in _first_bits(
             (m, rows[m] & cols[m] & ~(1 << m)) for m in masks)),
         "join-stable": (
             w(a=am, b=bm, e=em) for am in masks
-            for em in iter_bits(rows[am])
+            for em in iter_bits(rows[am] & open_cols)
             for bm in _join_escapes(cols[em], am, planes)),
         "transitive": (w(a=a, b=b, c=c) for a, b, c
                        in _by_distinct_rows(rows, untransferred)),

@@ -83,6 +83,32 @@ def test_default_operator_set_depends_on_the_route(tmp_path, capsys):
     assert code == 0 and "l_alpha_pt" not in out.splitlines()[0]
 
 
+def test_an_approx_table_checks_its_neighborhood_map_once(
+        tmp_path, capsys, monkeypatch):
+    """ApproxSpec checks its map once; the public pointwise operators
+    still check the map they are given on every call."""
+    calls = []
+    check = approx._as_neighborhoods
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+    monkeypatch.setattr(approx, "_as_neighborhoods", counted)
+    spec = write_spec(tmp_path, {
+        **STANDARD, "alpha": "1/5",
+        "operators": ["l_alpha_pt", "u_alpha_pt", "l_alpha"],
+    })
+    code, out, _ = run(capsys, "approx", "--spec", spec)
+    assert code == 0 and len(out.splitlines()) == 2 + 16
+    assert len(calls) == 1
+    u = Universe(("x1", "x2"))
+    nb = {"x1": u.subset(("x1",)), "x2": u.full}
+    for x in u.subsets():
+        approx.pointwise_lower(x, nb)
+        approx.pointwise_upper(x, nb)
+    assert len(calls) == 1 + 2 * 4
+
+
 def test_pointwise_operators_need_the_relation_route(tmp_path, capsys):
     spec = write_spec(tmp_path, {
         "universe": ["x1", "x2"], "granules": [["x1"], ["x1", "x2"]],

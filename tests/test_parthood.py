@@ -27,6 +27,7 @@ from roughpart import (
     vprs_upper,
 )
 from roughpart.core import binding
+from roughpart.parthood import _pack, _transpose, _union_open, _unpack
 from conftest import measures, precisions, small_fixtures, subsets_by_label
 
 ALPHA = Fraction(3, 10)
@@ -220,6 +221,16 @@ def test_designated_parts_from_another_universe_are_refused():
     h = Universe(("x", "y", "z")).subset(["x"])
     with pytest.raises(ValueError, match="not in the granulation"):
         build_parthood("st", u, g, tset=[h])
+
+
+def test_analysis_refuses_rows_that_do_not_fit_the_powerset():
+    """Rows pack side by side into one int, so a row with a bit past
+    2^n, or a missing row, is refused rather than read into its
+    neighbour."""
+    u = Universe(("x1", "x2"))
+    for rows in ((0b1111, 0b10000, 0, 0), (0b1111, 0b1111, 0b1111)):
+        with pytest.raises(ValueError, match="one row of 2\\^n bits"):
+            analyze_properties(ParthoodRelation("custom", u, rows))
 
 
 def test_tag_and_universe_validation(std):
@@ -484,10 +495,13 @@ def test_property_profile_matches_plain_sweeps(tuned, tag, flips):
         assert got == plain_profile(relation, held, 3), relation.tag
 
 
-def plain_join_witnesses(rows):
-    """The first witness of each join rule by plain pair loops: over the
-    pairs of each row for join-compatible, and over the pairs of each
-    column for join-stable, each pair once with b after its partner."""
+def plain_rule_witnesses(rows):
+    """The first witness of each join rule and each euclidean rule by
+    plain loops over pairs: over the pairs of each row for
+    join-compatible, and over the pairs of each column for join-stable,
+    each pair once with b after its partner; over the pairs of each row
+    for l-euclidean, and over each pair (a, b) and the column of b for
+    r-euclidean, in sorted pair order."""
     masks = range(len(rows))
     cols = [sum(1 << am for am in masks if rows[am] >> bm & 1)
             for bm in masks]
@@ -500,15 +514,46 @@ def plain_join_witnesses(rows):
     stable = ((am, bm, em) for am in masks for em in row_bits[am]
               for bm in col_bits[em] if bm > am
               and not cols[em] >> (am | bm) & 1)
+    left = ((am, bm, em) for bm in masks for am in row_bits[bm]
+            for em in row_bits[bm]
+            if am & ~em == 0 and not rows[am] >> em & 1)
+    right = ((am, bm, em) for am in masks for bm in row_bits[am]
+             for em in col_bits[bm]
+             if am & ~em == 0 and not rows[am] >> em & 1)
     return {"join-compatible": (("a", "e", "b"), next(compatible, None)),
-            "join-stable": (("a", "b", "e"), next(stable, None))}
+            "join-stable": (("a", "b", "e"), next(stable, None)),
+            "l-euclidean": (("a", "b", "e"), next(left, None)),
+            "r-euclidean": (("a", "b", "e"), next(right, None))}
+
+
+def _check_rule_witnesses(relations):
+    """Assert the analyzer's status and first witness of each rule in
+    :func:`plain_rule_witnesses`; return the plain first witnesses."""
+    found = []
+    for relation in relations:
+        profile = analyze_properties(relation)
+        plain = plain_rule_witnesses(relation.rows)
+        for name, (names, first) in plain.items():
+            status = profile.status(name)
+            if first is None:
+                assert (status.status, status.witness) == ("holds", None), \
+                    (relation.tag, name)
+            else:
+                assert status.status == "fails", (relation.tag, name)
+                assert status.witness == tuple(
+                    binding(var, ESet(relation.universe, m))
+                    for var, m in zip(names, first)), (relation.tag, name)
+        found.append({name: first for name, (_, first) in plain.items()})
+    return found
 
 
 def test_join_rules_match_plain_pair_loops_on_seven_elements():
-    """The analyzer screens each join rule with a bit-plane fold before
-    it loops over pairs. On a seeded granulation of seven elements, four
-    built relations and a near miss of one (a few pairs flipped) give the
-    statuses and first witnesses of the plain pair loops."""
+    """The analyzer decides the join rules over the whole packed relation
+    and the euclidean rules over the pairs a ⊆ e it lacks, and runs its
+    witness loops only on the failing lines. On a seeded granulation of
+    seven elements, four built relations and a near miss of one (a few
+    pairs flipped) give the statuses and first witnesses of the plain
+    pair loops for both join rules and both euclidean rules."""
     u = Universe(tuple(f"e{i}" for i in range(7)))
     g = random_granulation(u, random.Random(7))
     relations = [build_parthood(tag, u, g, kappa=kappa_k0(),
@@ -518,17 +563,114 @@ def test_join_rules_match_plain_pair_loops_on_seven_elements():
     for am, bm in ((3, 7), (12, 45), (64, 127), (5, 96)):
         rows[am] ^= 1 << bm
     relations.append(ParthoodRelation("custom", u, tuple(rows)))
-    seen = set()
-    for relation in relations:
-        profile = analyze_properties(relation)
-        for name, (names, plain) in plain_join_witnesses(
-                relation.rows).items():
-            status = profile.status(name)
-            seen.add(status.status)
-            if plain is None:
-                assert (status.status, status.witness) == ("holds", None)
-            else:
-                assert status.status == "fails", (relation.tag, name)
-                assert status.witness == tuple(
-                    binding(var, ESet(u, m)) for var, m in zip(names, plain))
-    assert seen == {"holds", "fails"}
+    found = _check_rule_witnesses(relations)
+    assert {f[name] is None for f in found
+            for name in ("join-compatible", "join-stable")} == {True, False}
+
+
+def test_rule_witnesses_past_row_zero_and_across_failing_columns():
+    """Near misses of s3 (a few pairs a ⊆ e dropped) whose first failing
+    row of each rewritten rule is far from row 0, and random relations
+    whose join-stable test fails in most columns: each gives the plain
+    loops' first witness for join-stable and both euclidean rules."""
+    u = Universe(tuple(f"e{i}" for i in range(7)))
+    g = random_granulation(u, random.Random(7))
+    relations = []
+    for dropped in (((96, 104), (112, 127)), ((97, 99),)):
+        rows = list(build_parthood("s3", u, g, k=1).rows)
+        for am, em in dropped:
+            rows[am] &= ~(1 << em)
+        relations.append(ParthoodRelation("custom", u, tuple(rows)))
+    rng = random.Random(24)
+    for density in (0.2, 0.5):
+        rows = [sum(1 << bm for bm in range(128) if rng.random() < density)
+                if am >= 40 else 0 for am in range(128)]
+        relations.append(ParthoodRelation("custom", u, tuple(rows)))
+    found = _check_rule_witnesses(relations)
+    for name, row in (("join-stable", 0), ("l-euclidean", 1),
+                      ("r-euclidean", 0)):
+        assert min(f[name][row] for f in found[:2]) >= 32, name
+    for relation in relations[2:]:
+        cols = [sum(1 << am for am in range(128)
+                    if relation.rows[am] >> bm & 1) for bm in range(128)]
+        failing = sum(any(not col >> (p | q) & 1
+                          for p in range(128) if col >> p & 1
+                          for q in range(128) if col >> q & 1)
+                      for col in cols)
+        assert failing >= 100
+
+
+def _random_family(rng, size):
+    """A family of masks as a bitset: random, closed under union, or
+    closed but for one union of two other members; with or without the
+    empty set."""
+    top = 1 << size
+    kind = rng.randrange(3)
+    if kind == 0:
+        density = rng.random()
+        return sum(1 << m for m in range(top) if rng.random() < density)
+    closed = set()
+    for gen in rng.sample(range(top), rng.randint(1, min(top, 4))):
+        closed |= {gen} | {gen | c for c in closed}
+    unions = [m for m in closed
+              if any(p | q == m for p in closed for q in closed
+                     if p != m and q != m)]
+    if kind == 2 and unions:
+        closed.discard(rng.choice(unions))
+    return sum(1 << m for m in closed)
+
+
+def _plain_cols(rows):
+    masks = range(len(rows))
+    return [sum(1 << am for am in masks if rows[am] >> bm & 1)
+            for bm in masks]
+
+
+def _plain_union_open(lines):
+    """The bitset of lines whose members are not closed under pairwise
+    union."""
+    out = 0
+    for a, line in enumerate(lines):
+        members = [m for m in range(len(lines)) if line >> m & 1]
+        if any(not line >> (p | q) & 1 for p in members for q in members):
+            out |= 1 << a
+    return out
+
+
+@pytest.mark.parametrize("size", range(8))
+def test_union_closure_kernel_matches_a_plain_pairwise_test(size):
+    """The zeta-transform test over a packed relation flags exactly the
+    rows, and after the transpose the columns, that a plain pairwise
+    test finds not closed under union. Below n = 3 a line is narrower
+    than a byte."""
+    rng = random.Random(size)
+    verdicts = set()
+    for _ in range(6):
+        lines = [_random_family(rng, size) for _ in range(1 << size)]
+        # Repeated lines are tested once.
+        half = len(lines) // 2
+        lines[len(lines) - half:] = rng.sample(lines, half)
+        want = _plain_union_open(lines)
+        assert _union_open(lines, size) == want
+        packed = _transpose(_pack(_plain_cols(lines), 1 << size), size)
+        assert _union_open(_unpack(packed, 1 << size, 1 << size),
+                           size) == want
+        verdicts |= {want >> a & 1 for a in range(1 << size)}
+        verdicts |= {("empty", lines[a] & 1) for a in range(1 << size)
+                     if not want >> a & 1}
+    if size >= 2:
+        assert verdicts >= {0, 1, ("empty", 0)}
+
+
+@pytest.mark.parametrize("size", range(8))
+def test_transpose_matches_a_plain_column_build(size):
+    rng = random.Random(size)
+    for density in (0.1, 0.5, 0.9):
+        rows = [sum(1 << m for m in range(1 << size)
+                    if rng.random() < density) for _ in range(1 << size)]
+        width = 1 << size
+        packed = _pack(rows, width)
+        assert packed == sum(row << (a << size) for a, row in enumerate(rows))
+        assert _unpack(packed, width, width) == rows
+        assert _unpack(_transpose(packed, size), width, width) \
+            == _plain_cols(rows)
