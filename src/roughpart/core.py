@@ -18,6 +18,7 @@ returning one :class:`CheckReport` per axiom.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -203,27 +204,65 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
+@functools.cache
+def _bit_planes(size: int) -> dict[int, tuple[int, int]]:
+    """Bitsets over the masks of a ``size``-element universe: each
+    one-element mask maps to the masks that hold it and the masks that
+    do not."""
+    masks = range(1 << size)
+    everything = (1 << len(masks)) - 1
+    planes = {}
+    for i in range(size):
+        high = sum(1 << m for m in masks if m >> i & 1)
+        planes[1 << i] = (high, everything ^ high)
+    return planes
+
+
+def _grow(meets: list[int], plane: tuple[int, int]) -> list[int]:
+    """The meet vector of a set grown by one element outside it, from the
+    set's own: the b that hold the element, ``plane[0]``, move up one
+    entry, and the b that lack it, ``plane[1]``, stay."""
+    high, low = plane
+    return [meets[0] & low,
+            *((m & low) | (prev & high) for prev, m in zip(meets, meets[1:])),
+            meets[-1] & high]
+
+
+def _meet_vectors(size: int) -> Iterator[tuple[int, list[int]]]:
+    """Every mask a of a ``size``-element universe with its meet vector,
+    whose entry i is the bitset of the b with |a∩b| = i. The walk is
+    depth first, and grows a only by elements above its highest bit, so
+    each mask is built once, from its parent, and the stack holds O(n²)
+    vectors."""
+    planes = _bit_planes(size)
+    stack = [(0, [(1 << (1 << size)) - 1])]
+    while stack:
+        am, meets = stack.pop()
+        yield am, meets
+        stack.extend((am | 1 << e, _grow(meets, planes[1 << e]))
+                     for e in range(am.bit_length(), size))
+
+
 def venn_rows(size: int, test: Callable[[int, int, int], bool]
               ) -> tuple[int, ...]:
     """Bitset rows over the masks of a ``size``-element universe: bit
     ``b`` of row ``a`` is set exactly when ``test(|a|, |a∩b|, |b∖a|)``.
 
-    A pair (a, b) splits b into the disjoint s = a∩b and t = b∖a, so b
-    is the sum s + t. Row a is the sum, over the submasks s of a, of
-    the bitset of the t inside the complement of a whose counts pass,
-    shifted left by s: O(3^n) steps instead of a test per pair."""
-    passes = [[[test(p, i, y) for y in range(size - p + 1)]
-               for i in range(p + 1)] for p in range(size + 1)]
-    full = (1 << size) - 1
-    rows = []
-    for am in range(full + 1):
-        by_size = [0] * (size - am.bit_count() + 1)
-        for tm in iter_submasks(full & ~am):
-            by_size[tm.bit_count()] |= 1 << tm
-        outside = [sum(bits for bits, ok in zip(by_size, row) if ok)
-                   for row in passes[am.bit_count()]]
-        rows.append(sum(outside[sm.bit_count()] << sm
-                        for sm in iter_submasks(am)))
+    A pair (a, b) with |a∩b| = i has |b∖a| = |b| − i, so row a is the OR,
+    over i, of entry i of a's meet vector masked by ``keep[|a|][i]``: the
+    sets of every size i + y at which the test passes. The test runs once
+    per count triple, and each row costs a few big-int operations on 2^n
+    bits instead of a test per pair."""
+    planes = _bit_planes(size)
+    layers = [(1 << (1 << size)) - 1]
+    for e in range(size):  # up to the full set's vector: sets by size
+        layers = _grow(layers, planes[1 << e])
+    keep = [[sum(layers[i + y] for y in range(size - p + 1) if test(p, i, y))
+             for i in range(p + 1)] for p in range(size + 1)]
+    rows = [0] * (1 << size)
+    for am, meets in _meet_vectors(size):
+        rows[am] = sum(m & k for m, k in zip(meets, keep[len(meets) - 1])
+                       if k)
     return tuple(rows)
 
 

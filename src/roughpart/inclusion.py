@@ -513,9 +513,11 @@ def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
     (x, c) with c inside x for RV and RI, and every pair for RI-np.
 
     An invariant measure is first tested at one instance per Venn-count
-    type of the bound sets; if every type passes, the axiom holds without
-    a mask sweep. Otherwise, as for any other measure, the masks are swept
-    in the order of ``_INSTANCES`` and the first failures are kept.
+    type of the bound sets at each threshold, and only the thresholds
+    where some type fails are kept; if none is, the axiom holds without a
+    mask sweep. The masks are then swept, as for any other measure, in
+    the order of ``_INSTANCES`` at the kept thresholds, and the first
+    failures are kept.
     """
     _require_axiom(axiom_id)
     if axiom_id in SWEPT_AXIOMS:
@@ -556,15 +558,15 @@ def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
     names = _INSTANCE_VARS[axiom_id]
     test = _failure_test(axiom_id, val, one, zero, comp, universe.full_mask)
     # An invariant measure's verdict on an instance depends only on the
-    # Venn counts of its sets, so one instance per count type decides a
-    # holding axiom; a failing one is swept on masks for its witnesses.
-    holds = kappa.invariant and not any(
-        test(d, *ms) for ms in _venn_types(universe.size, len(names))
-        for d in deltas)
+    # Venn counts of its sets, so one instance per count type decides each
+    # threshold; masks are swept for witnesses only where some type fails.
+    if kappa.invariant:
+        types = _venn_types(universe.size, len(names))
+        deltas = tuple(d for d in deltas
+                       if any(test(d, *ms) for ms in types))
     instances = _INSTANCES[axiom_id]
-    failures = () if holds else (
-        (ms, d) for d in deltas for ms in instances(masks, val, one)
-        if test(d, *ms))
+    failures = ((ms, d) for d in deltas for ms in instances(masks, val, one)
+                if test(d, *ms))
     return _sweep_report(axiom_id, (
         tuple(binding(k, ESet(universe, m)) for k, m in zip(names, ms))
         + ((("delta", (labels[d],)),) if d is not None else ())

@@ -30,6 +30,7 @@ from .core import (
     Granulation,
     Universe,
     Witness,
+    _bit_planes,
     _check_cap,
     binding,
     iter_bits,
@@ -144,21 +145,14 @@ def _preorder_rows(img: Sequence[int]) -> list[int]:
 
 
 @functools.cache
-def _bit_planes(size: int) -> tuple[dict[int, tuple[int, int]],
-                                    tuple[int, ...]]:
-    """Bitsets over the masks of a ``size``-element universe. The first
-    maps each one-element mask to the masks that hold it and the masks
-    that do not; entry ``a`` of the second is every superset of ``a``."""
-    masks = range(1 << size)
-    everything = (1 << len(masks)) - 1
-    planes = {}
-    for i in range(size):
-        high = sum(1 << m for m in masks if m >> i & 1)
-        planes[1 << i] = (high, everything ^ high)
-    up = [everything]
-    for a in masks[1:]:
+def _supersets(size: int) -> tuple[int, ...]:
+    """Entry ``a`` is the bitset of every superset of ``a`` among the
+    masks of a ``size``-element universe."""
+    planes = _bit_planes(size)
+    up = [(1 << (1 << size)) - 1]
+    for a in range(1, 1 << size):
         up.append(up[a & (a - 1)] & planes[a & -a][0])
-    return planes, tuple(up)
+    return tuple(up)
 
 
 def _join_escapes(line: int, p: int,
@@ -200,7 +194,7 @@ def _packed_masks(size: int) -> tuple[tuple[int, ...], tuple[int, ...],
     per element i, the bits of every line whose mask holds i; per
     transpose round k, the bits whose line index lacks element k and
     whose mask within the line holds it; and bit 0 of every line."""
-    planes, _ = _bit_planes(size)
+    planes = _bit_planes(size)
     width = 1 << size
     total = width << size
     highs = tuple(_tile(planes[1 << i][0], width, total)
@@ -306,11 +300,11 @@ def build_parthood(tag: str, universe: Universe, granulation: Granulation, *,
         rows = venn_rows(universe.size, _VENN_OF[tag](k))
     elif tag == "s6":
         rows = [row if am.bit_count() > k else 0
-                for am, row in enumerate(_bit_planes(universe.size)[1])]
+                for am, row in enumerate(_supersets(universe.size))]
     elif tag == "st":
         tmasks = tuple(h.mask for h in designated)
         rows = [row if any(t & ~am == 0 for t in tmasks) else 0
-                for am, row in enumerate(_bit_planes(universe.size)[1])]
+                for am, row in enumerate(_supersets(universe.size))]
     elif tag == "s7":
         # Same intent as s5, rebuilt granule by granule instead of
         # through the preorder of lower images; the two must agree. Row
@@ -477,7 +471,7 @@ def analyze_properties(relation: ParthoodRelation) -> PropertyProfile:
         raise ValueError("a relation needs one row of 2^n bits per subset")
     cols = _unpack(_transpose(_pack(rows, 1 << size), size), 1 << size,
                    1 << size)
-    planes, up = _bit_planes(size)
+    planes, up = _bit_planes(size), _supersets(size)
 
     def ev(m: int) -> ESet:
         return ESet(universe, m)

@@ -27,7 +27,7 @@ from roughpart import (
     vprs_upper,
 )
 from roughpart.approx import require_alpha
-from roughpart.core import venn_rows
+from roughpart.core import _meet_vectors, venn_rows
 from conftest import operator_pairs
 
 U6 = Universe(("a", "b", "c", "d", "e", "f"))
@@ -322,7 +322,7 @@ def test_thresholds_are_exact(call):
 
 _RANDOM_COUNTS = random.Random(5)
 _VENN_TABLE = {(p, i, y): _RANDOM_COUNTS.random() < 0.5
-               for p in range(6) for i in range(6) for y in range(6)}
+               for p in range(9) for i in range(9) for y in range(9)}
 
 
 @pytest.mark.parametrize("test", [
@@ -334,11 +334,38 @@ _VENN_TABLE = {(p, i, y): _RANDOM_COUNTS.random() < 0.5
 ], ids=["inside", "not-proper-subset", "meet-outweighs", "mod-4", "table"])
 def test_venn_rows_match_a_plain_double_loop(test):
     """Bit b of row a is set exactly when the test holds at (|a|, |a∩b|,
-    |b∖a|), for every pair of every universe of up to five elements."""
-    for size in range(6):
+    |b∖a|), for every pair of every universe of up to eight elements."""
+    for size in range(9):
         masks = range(1 << size)
         assert venn_rows(size, test) == tuple(
             sum(1 << bm for bm in masks
                 if test(am.bit_count(), (am & bm).bit_count(),
                         (bm & ~am).bit_count()))
             for am in masks), size
+
+
+def test_venn_rows_ask_each_count_triple_once():
+    """The kernel reads the test once per count triple that fits the
+    universe, never per pair or per row."""
+    for size in range(9):
+        asked = []
+        venn_rows(size, lambda p, i, y: asked.append((p, i, y)) or i == p)
+        assert len(asked) == len(set(asked)), size
+        assert all(0 <= i <= p <= size and 0 <= y <= size - p
+                   for p, i, y in asked), size
+
+
+def test_meet_vectors_visit_each_mask_once_with_its_meet_counts():
+    """The walk yields every mask exactly once, and entry i of its vector
+    is the bitset of the b meeting it in i elements."""
+    for size in range(7):
+        masks = range(1 << size)
+        seen = {}
+        for am, meets in _meet_vectors(size):
+            assert am not in seen, (size, am)
+            seen[am] = meets
+        assert sorted(seen) == list(masks), size
+        for am, meets in seen.items():
+            assert meets == [
+                sum(1 << bm for bm in masks if (am & bm).bit_count() == i)
+                for i in range(am.bit_count() + 1)], (size, am)

@@ -369,6 +369,52 @@ def test_a_holding_invariant_verdict_starts_no_mask_sweep(monkeypatch):
         check_axiom(kappa_k0(), "R6", universe)
 
 
+
+def test_a_failing_invariant_verdict_sweeps_only_failing_thresholds(
+        monkeypatch):
+    """The mask sweep of a failing verdict evaluates instances only at the
+    thresholds at which some Venn type fails. On four elements each of
+    these measures fails some swept axiom, and has swept thresholds at
+    which no type fails."""
+    calls, sweeping = [], []
+    real_test = inclusion._failure_test
+
+    def recording_test(*args):
+        test = real_test(*args)
+
+        def record(d, *masks):
+            failed = test(d, *masks)
+            calls.append((bool(sweeping), d, failed))
+            return failed
+        return record
+
+    def recording_instances(real):
+        def instances(masks, val, one):
+            sweeping.append(True)
+            return real(masks, val, one)
+        return instances
+
+    monkeypatch.setattr(inclusion, "_failure_test", recording_test)
+    for axiom in SWEPT_AXIOMS:
+        monkeypatch.setitem(inclusion._INSTANCES, axiom, recording_instances(
+            inclusion._INSTANCES[axiom]))
+    universe = Universe(("p", "q", "r", "s"))
+    spared = 0
+    for kappa in (kappa_k0(), kappa_k1(), kappa_st("1/5", "4/5"), _TOP_ONLY):
+        for axiom in SWEPT_AXIOMS:
+            calls.clear()
+            sweeping.clear()
+            if check_axiom(kappa, axiom, universe).holds:
+                continue
+            typed = {d for swept, d, _ in calls if not swept}
+            failing = {d for swept, d, failed in calls
+                       if not swept and failed}
+            swept = {d for swept, d, _ in calls if swept}
+            assert swept and swept <= failing, (kappa.describe(), axiom)
+            spared += len(typed - failing)
+    assert spared
+
+
 def _row_pairs(rows):
     return {(am, bm) for am, row in enumerate(rows)
             for bm in range(len(rows)) if row >> bm & 1}
