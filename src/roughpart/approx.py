@@ -19,6 +19,7 @@ values and never floats.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import le, lt
@@ -189,11 +190,13 @@ def vprs_tables(granulation: Granulation,
                 alpha: Fraction | int | str = 0) -> VprsTables:
     """All four precision-tuned images over the whole powerset.
 
-    Each (subset, granule) is tested against the upper threshold, and
-    against the lower one only when it passes, since ``alpha < 1/2``.
-    Tables are cached per (granulation, measure, precision); measures
-    compare their evaluation functions by identity, so a key names
-    exactly one measure."""
+    The measure's (mask, granule) ranks come from one table per
+    (granulation, measure) that holds no threshold
+    (:meth:`InclusionFn.granule_ranks`); a precision only cuts that
+    table at two ranks, the first value above ``alpha`` and the first at
+    least ``1 - alpha``. Images are cached per (granulation, measure,
+    precision); measures compare their evaluation functions by identity,
+    so a key names exactly one measure."""
     return _vprs_tables(granulation, _kappa_or_default(kappa),
                         require_alpha(alpha))
 
@@ -201,23 +204,23 @@ def vprs_tables(granulation: Granulation,
 @functools.cache
 def _vprs_tables(granulation: Granulation, kappa: InclusionFn,
                  alpha: Fraction) -> VprsTables:
-    universe = granulation.universe
-    gmasks = granulation.masks
-    above = kappa.at_least(universe, alpha, strict=True)
-    reaches = kappa.at_least(universe, 1 - alpha)
+    values, columns = kappa.granule_ranks(granulation)
+    above = bisect_right(values, alpha)
+    reaches = bisect_left(values, 1 - alpha)
+    grans = tuple(zip(granulation.masks, columns))
     lo, up, slo, sup = [], [], [], []
-    for x in range(universe.full_mask + 1):
+    for x in range(granulation.universe.full_mask + 1):
         lm = um = sl = su = 0
-        for gm in gmasks:
-            if not above(x, gm):
-                continue
-            su |= gm
-            if gm & x:
-                um |= gm
-            if reaches(x, gm):
-                sl |= gm
-                if gm & ~x == 0:
-                    lm |= gm
+        for gm, col in grans:
+            r = col[x]
+            if r >= above:
+                su |= gm
+                if gm & x:
+                    um |= gm
+                if r >= reaches:
+                    sl |= gm
+                    if gm & ~x == 0:
+                        lm |= gm
         lo.append(lm)
         up.append(um)
         slo.append(sl)

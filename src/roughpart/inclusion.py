@@ -29,6 +29,7 @@ from .core import (
     EXHAUSTIVE_CAP,
     CheckReport,
     ESet,
+    Granulation,
     Universe,
     _check_cap,
     _exact,
@@ -50,6 +51,9 @@ CLASS_TAGS = ("gRIF", "pRIF", "qRIF", "wqRIF")
 
 MaskFn = Callable[[Universe, int, int], Fraction]
 PairTest = Callable[[int, int], bool]
+# Values of a measure, ascending, and the rank among them of its value on
+# each (subset, granule) pair, one column of masks per granule.
+GranuleRanks = tuple[tuple[Fraction, ...], tuple[tuple[int, ...], ...]]
 
 
 @dataclass(frozen=True)
@@ -110,6 +114,13 @@ class InclusionFn:
         return _floor_rows(self.fn, universe.size,
                            bisect_left(values, theta))
 
+    def granule_ranks(self, granulation: Granulation) -> GranuleRanks:
+        """The rank of the measure's value on every (subset, granule)
+        pair of ``granulation``, one column per granule, with the
+        ascending values the ranks index; cached per (granulation,
+        measure). See :func:`_granule_ranks`."""
+        return _granule_ranks(granulation, self.fn, self.invariant)
+
     def describe(self) -> str:
         if not self.parameters:
             return self.tag
@@ -168,6 +179,54 @@ def _plain_floor_rows(kappa: InclusionFn, universe: Universe,
     masks = range(universe.full_mask + 1)
     return tuple(sum(1 << bm for bm in masks if reaches(am, bm))
                  for am in masks)
+
+
+@functools.cache
+def _granule_ranks(granulation: Granulation, fn: MaskFn,
+                   invariant: bool) -> GranuleRanks:
+    """Ascending ``values`` of the measure ``fn`` and one column per
+    granule g_j: ``columns[j][x]`` is the rank of fn(x, g_j) among the
+    values, for every mask x. No threshold enters, so one table serves
+    every precision.
+
+    An ``invariant`` measure takes its values and ranks from
+    :func:`_rank_table`, so its values are all those of the universe
+    size: with |g| fixed, fn(x, g) depends only on the cell (|x∩g|,
+    |x∖g|), so a granule's cells are ranked once at canonical pairs and
+    each mask reads its cell. Any other measure is evaluated once per
+    (mask, granule) with ``Fraction``, and its values are those that
+    occur."""
+    universe = granulation.universe
+    size = universe.size
+    if not invariant:
+        masks = range(universe.full_mask + 1)
+        cols = [[fn(universe, x, g) for x in masks]
+                for g in granulation.masks]
+        values = tuple(sorted({v for col in cols for v in col}))
+        index = {v: r for r, v in enumerate(values)}
+        return values, tuple(tuple(map(index.__getitem__, col))
+                             for col in cols)
+    values, rank = _rank_table(fn, size)
+    side = size + 1
+    columns = []
+    for g in granulation.masks:
+        q = g.bit_count()
+        # Cell i·side + j: the sets meeting g in i elements and leaving
+        # it by j, ranked at one canonical pair with those counts.
+        cells = [0] * side * side
+        for i in range(q + 1):
+            for j in range(side - q):
+                cells[i * side + j] = rank(
+                    (1 << (i + j)) - 1,
+                    ((1 << i) - 1) | (((1 << (q - i)) - 1) << (i + j)))
+        # The cell of every mask, grown one element at a time: an element
+        # of g moves a mask one i up, any other element one j up.
+        at = [0]
+        for e in range(size):
+            step = side if g >> e & 1 else 1
+            at += [c + step for c in at]
+        columns.append(tuple(map(cells.__getitem__, at)))
+    return values, tuple(columns)
 
 
 def _same_universe(a: ESet, b: ESet) -> None:

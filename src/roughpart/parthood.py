@@ -18,9 +18,11 @@ bare failure.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import islice
+from operator import or_
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -120,9 +122,14 @@ def _image(tag: str, ctx: BuildContext) -> Sequence[int]:
     """The image of every subset mask under an image-comparing tag."""
     g, kap, alpha = ctx.granulation, ctx.kappa, ctx.alpha
     if _IMAGE_OF[tag] == "profile":
-        reaches = kap.at_least(g.universe, alpha)
-        return [sum(1 << i for i, h in enumerate(g.masks) if reaches(m, h))
-                for m in range(g.universe.full_mask + 1)]
+        # Granule i's bit, looked up by rank for every mask at once.
+        values, columns = kap.granule_ranks(g)
+        cut = bisect_left(values, alpha)
+        profile = [0] * (g.universe.full_mask + 1)
+        for i, col in enumerate(columns):
+            by_rank = [0] * cut + [1 << i] * (len(values) - cut)
+            profile = list(map(or_, profile, map(by_rank.__getitem__, col)))
+        return profile
     return getattr(vprs_tables(g, kap, alpha), _IMAGE_OF[tag])
 
 
@@ -435,22 +442,14 @@ def _first_bits(cases: Iterable[tuple[int, ...]]
             yield (*fixed, (bits & -bits).bit_length() - 1)
 
 
-def _by_distinct_rows(rows: Sequence[int],
-                      fails_in: Callable[[int], Iterable[tuple[int, ...]]]
-                      ) -> Iterator[tuple[int, ...]]:
-    """``fails_in(m)`` for each mask m in turn, for a property whose
-    failures in row m exist or not by the row's value alone: a row equal
-    to one already swept without a failure is skipped."""
-    clean = set()
-    for m, row in enumerate(rows):
-        if row in clean:
-            continue
-        found = False
-        for case in fails_in(m):
-            found = True
-            yield case
-        if not found:
-            clean.add(row)
+def _row_escapes(row: int, rows: Sequence[int]) -> int:
+    """The masks that the rows of the members of ``row`` hold and
+    ``row`` lacks: zero exactly when the relation's pairs (a, b), (b, c)
+    give (a, c) in every row a equal to ``row``."""
+    reach = 0
+    for bm in iter_bits(row):
+        reach |= rows[bm]
+    return reach & ~row
 
 
 def analyze_properties(relation: ParthoodRelation) -> PropertyProfile:
@@ -491,10 +490,19 @@ def analyze_properties(relation: ParthoodRelation) -> PropertyProfile:
         return _first_bits((am, bm, cols[bm] & up[am] & ~rows[am])
                            for bm in iter_bits(rows[am]))
 
-    # Failures of transitivity in row m exist or not by the row alone.
     def untransferred(am: int) -> Iterator[tuple[int, ...]]:
         return _first_bits((am, bm, rows[bm] & ~rows[am])
                            for bm in iter_bits(rows[am]))
+
+    # Failures of transitivity in row m exist or not by the row alone,
+    # so each distinct row is screened once.
+    escapes: dict[int, int] = {}
+
+    def intransitive(am: int) -> bool:
+        row = rows[am]
+        if row not in escapes:
+            escapes[row] = _row_escapes(row, rows)
+        return escapes[row] != 0
 
     # The euclidean rules fail only through a pair a ⊆ e that the
     # relation lacks: r-euclidean in row a when some row of such an e
@@ -542,8 +550,9 @@ def analyze_properties(relation: ParthoodRelation) -> PropertyProfile:
             w(a=am, b=bm, e=em) for am in masks
             for em in iter_bits(rows[am] & open_cols)
             for bm in _join_escapes(cols[em], am, planes)),
-        "transitive": (w(a=a, b=b, c=c) for a, b, c
-                       in _by_distinct_rows(rows, untransferred)),
+        "transitive": (w(a=a, b=b, c=c)
+                       for row in islice(filter(intransitive, masks), 1)
+                       for a, b, c in untransferred(row)),
         "symmetric": (w(a=a, b=b) for a, b in _first_bits(
             (m, rows[m] & ~cols[m]) for m in masks)),
     }

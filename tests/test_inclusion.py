@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from roughpart import (
     ESet,
+    Granulation,
     InclusionFn,
     Universe,
     VALID_AXIOMS,
@@ -446,6 +447,41 @@ def test_threshold_tests_agree_with_the_measure(kappa):
                 if not strict:
                     rows = kappa.floor_rows(universe, theta)
                     assert _row_pairs(rows) == want, (size, theta)
+
+
+_RANKED = (kappa_k0(), kappa_k1(), kappa_k2(), kappa_st("1/5", "4/5"),
+           kappa_st("1/5", "4/5", kappa_k1()))
+
+
+@pytest.mark.parametrize(
+    "kappa", _RANKED + tuple(dataclasses.replace(k, invariant=False)
+                             for k in _RANKED),
+    ids=lambda k: k.describe() + ("" if k.invariant else "-plain"))
+def test_granule_ranks_match_the_measure_on_every_mask(kappa):
+    """Every column entry of the threshold-free rank table names the
+    ``Fraction`` value of its (mask, granule) pair, on universes of 0 to
+    8 elements whose granules include the full set, every singleton and
+    every run of two and of three consecutive elements. A measure not
+    flagged invariant ranks exactly the values that occur."""
+    for size in range(9):
+        u = Universe(tuple(f"e{i}" for i in range(size)))
+        full = u.full_mask
+        masks = [full] + [1 << i for i in range(size)] + [
+            run << i for run in (3, 7) for i in range(size)
+            if run << i <= full]
+        g = Granulation(u, tuple(ESet(u, m) for m in dict.fromkeys(masks)
+                                 if m))
+        values, columns = kappa.granule_ranks(g)
+        assert list(values) == sorted(set(values))
+        assert len(columns) == len(g.masks)
+        seen = set()
+        for gm, column in zip(g.masks, columns):
+            assert len(column) == full + 1
+            for x, r in enumerate(column):
+                assert values[r] == kappa.on_masks(u, x, gm), (size, x, gm)
+                seen.add(r)
+        if not kappa.invariant:
+            assert seen == set(range(len(values)))
 
 
 def test_measures_without_a_cardinality_form_stay_on_their_function():

@@ -26,6 +26,7 @@ from roughpart import (
     vprs_star_lower,
     vprs_upper,
 )
+from roughpart import parthood
 from roughpart.core import binding
 from roughpart.parthood import _pack, _transpose, _union_open, _unpack
 from conftest import measures, precisions, small_fixtures, subsets_by_label
@@ -598,6 +599,33 @@ def test_rule_witnesses_past_row_zero_and_across_failing_columns():
                           for q in range(128) if col >> q & 1)
                       for col in cols)
         assert failing >= 100
+
+
+def test_transitivity_screens_each_distinct_row_once(monkeypatch):
+    """Rows 0 and 1 are equal and transitive; row 2 is the first that is
+    not (it holds 3, row 3 holds 5, and row 2 lacks 5), and row 6 equals
+    it. The analyzer screens the two distinct rows up to row 2 once each
+    and reports the first witness of the plain triple loop."""
+    u = Universe(("e0", "e1", "e2"))
+    held = {0: (1,), 1: (1,), 2: (3,), 3: (3, 5), 4: (4,), 5: (5,),
+            6: (3,), 7: ()}
+    rows = tuple(sum(1 << b for b in held[a]) for a in range(8))
+    plain = next((a, b, c) for a in range(8) for b in held[a]
+                 for c in held[b] if c not in held[a])
+    assert plain == (2, 3, 5)
+    screen, screened = parthood._row_escapes, []
+
+    def counted(row, lines):
+        screened.append(row)
+        return screen(row, lines)
+
+    monkeypatch.setattr(parthood, "_row_escapes", counted)
+    status = analyze_properties(
+        ParthoodRelation("custom", u, rows)).status("transitive")
+    assert status.status == "fails"
+    assert status.witness == tuple(binding(var, ESet(u, m))
+                                   for var, m in zip("abc", plain))
+    assert screened == [rows[0], rows[2]]
 
 
 def _random_family(rng, size):

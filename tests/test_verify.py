@@ -192,10 +192,14 @@ def test_suite_json_shape_and_validation(capsys):
 
 def test_suites_share_one_vprs_table_per_combination():
     """Every suite of ``all`` reads the same cached tables: 5 fixtures,
-    2 measures and 4 precisions make 40 distinct tables."""
+    2 measures and 4 precisions make 40 distinct tables. They are cut
+    from one threshold-free rank table per (fixture, measure), 10 in
+    all, whatever the precision."""
     approx._vprs_tables.cache_clear()
+    inclusion._granule_ranks.cache_clear()
     run_theorem_suite("all", random_count=4)
     assert approx._vprs_tables.cache_info().misses == 40
+    assert inclusion._granule_ranks.cache_info().misses == 10
 
 
 def test_suites_share_one_rank_table_per_measure_and_size():
