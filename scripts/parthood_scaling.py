@@ -7,8 +7,12 @@ Python process builds the relation with ``build_parthood`` and analyses
 it with ``analyze_properties``, at α = 1/5 under K0 with grade k = 2, on
 ``random_granulation(u, Random(n))`` over the elements e0..e(n-1). The
 runs go one after another, each stopped after ``TIMEOUT_S`` seconds. One
-Markdown row per run gives the build and analysis seconds and the peak
-resident memory of its process, or the timeout.
+Markdown row per run gives the build and analysis seconds, the peak
+resident memory of its process, and that peak's growth over the peak read
+just before the build, or the timeout. The peak of a whole process moves
+by several MB with allocator layout between runs of the same code; the
+growth leaves out the interpreter, the imports and the granulation, so it
+compares the build and analysis alone.
 """
 
 from __future__ import annotations
@@ -33,14 +37,16 @@ from roughpart.verify import random_granulation
 tag, n = sys.argv[1], int(sys.argv[2])
 u = Universe(tuple(f"e{i}" for i in range(n)))
 g = random_granulation(u, random.Random(n))
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 start = time.perf_counter()
 rel = build_parthood(tag, u, g, kappa=kappa_k0(), alpha=Fraction(1, 5), k=2)
 built = time.perf_counter()
 analyze_properties(rel)
 done = time.perf_counter()
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 print(json.dumps({"build_s": built - start, "analyse_s": done - built,
-                  "peak_rss_mb": rss}))
+                  "peak_rss_mb": rss / 1024,
+                  "rss_growth_mb": (rss - base) / 1024}))
 """
 
 
@@ -59,16 +65,17 @@ def run(tag: str, n: int) -> dict | None:
 
 
 def main() -> int:
-    print("| tag | n | build s | analysis s | peak RSS MB |")
-    print("|---|---|---|---|---|")
+    print("| tag | n | build s | analysis s | peak RSS MB | RSS growth MB |")
+    print("|---|---|---|---|---|---|")
     for tag in TAGS:
         for n in SIZES:
             got = run(tag, n)
             if got is None:
-                cells = f"timeout after {TIMEOUT_S} s | | "
+                cells = f"timeout after {TIMEOUT_S} s | | | "
             else:
                 cells = (f"{got['build_s']:.3f} | {got['analyse_s']:.3f} | "
-                         f"{got['peak_rss_mb']:.1f}")
+                         f"{got['peak_rss_mb']:.1f} | "
+                         f"{got['rss_growth_mb']:.1f}")
             print(f"| {tag} | {n} | {cells} |", flush=True)
     return 0
 

@@ -42,7 +42,8 @@ from .correspond import (
     build_upper_correspondence,
     check_nonrepresentability,
 )
-from .inclusion import SWEPT_AXIOMS, VALID_AXIOMS, _rif_classes, check_axiom
+from .inclusion import (SWEPT_AXIOMS, VALID_AXIOMS, _axiom_holds,
+                        _rif_classes, check_axiom)
 from .parthood import PARTHOOD_TAGS, analyze_properties, build_parthood
 from .rational import _Search
 from .verify import (
@@ -366,7 +367,7 @@ def cmd_axioms(args: argparse.Namespace) -> int:
 
     def holds(axiom: str) -> bool:
         if axiom not in verdicts:
-            verdicts[axiom] = check_axiom(kappa, axiom, universe).holds
+            verdicts[axiom] = _axiom_holds(kappa, axiom, universe)
         return verdicts[axiom]
 
     classes = list(_rif_classes(holds))

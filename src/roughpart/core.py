@@ -148,7 +148,8 @@ class ESet:
         return "{" + ",".join(self.members) + "}"
 
     def _coerce(self, other: "ESet") -> None:
-        if other.universe != self.universe:
+        if other.universe is not self.universe \
+                and other.universe != self.universe:
             raise ValueError("subsets belong to different universes")
 
     def __and__(self, other: "ESet") -> "ESet":

@@ -31,6 +31,7 @@ from .core import (
     ESet,
     Granulation,
     Universe,
+    Witness,
     _check_cap,
     _exact,
     _sweep_report,
@@ -230,7 +231,7 @@ def _granule_ranks(granulation: Granulation, fn: MaskFn,
 
 
 def _same_universe(a: ESet, b: ESet) -> None:
-    if a.universe != b.universe:
+    if a.universe is not b.universe and a.universe != b.universe:
         raise ValueError("subsets belong to different universes")
 
 
@@ -327,7 +328,8 @@ def eval_bgrif(a: ESet, b: ESet, sigma: str, pi: str,
     fb = _pick(pi, lower, upper)(b)
     if fa.is_empty:
         return ONE
-    return Fraction((fa & fb).cardinality, fa.cardinality)
+    _same_universe(fa, fb)
+    return Fraction((fa.mask & fb.mask).bit_count(), fa.cardinality)
 
 
 def eval_cgrif(a: ESet, b: ESet, sigma: str, pi: str,
@@ -343,7 +345,8 @@ def eval_cgrif(a: ESet, b: ESet, sigma: str, pi: str,
     da = _pick(pi, lower, upper)(a)
     if da.is_empty:
         return ONE
-    return Fraction((fa & fb).cardinality, da.cardinality)
+    _same_universe(fa, fb)
+    return Fraction((fa.mask & fb.mask).bit_count(), da.cardinality)
 
 
 def dependence_degree(a: ESet, b: ESet) -> Fraction:
@@ -559,31 +562,16 @@ def evaluate_axiom_instance(kappa: InclusionFn, axiom_id: str,
     return kappa(a & b, c) >= delta
 
 
-def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
-                delta: Fraction | None = None) -> CheckReport:
-    """Exhaustively test one axiom for ``kappa`` over a finite universe.
-
-    Swept axioms (RV, RI, RI-np) quantify over a threshold as well: pass
-    ``delta`` to pin it, or leave it None to decide every threshold. An
-    instance that fails at some threshold also fails at one of the
-    measure's own values: at val(b, c) for RV, and at the smaller of
-    val(a, c) and val(b, c) for RI and RI-np. So the sweep runs over the
-    distinct values on the pairs those instances read, in ascending order:
-    (x, c) with c inside x for RV and RI, and every pair for RI-np.
-
-    An invariant measure is first tested at one instance per Venn-count
-    type of the bound sets at each threshold, and only the thresholds
-    where some type fails are kept; if none is, the axiom holds without a
-    mask sweep. The masks are then swept, as for any other measure, in
-    the order of ``_INSTANCES`` at the kept thresholds, and the first
-    failures are kept.
-    """
+def _axiom_failures(kappa: InclusionFn, axiom_id: str, universe: Universe,
+                    delta: Fraction | None
+                    ) -> tuple[tuple, tuple, Iterator[Witness]]:
+    """The setup of :func:`check_axiom` and :func:`_axiom_holds`: the
+    thresholds that the Venn-type screen keeps, the report parameters, and
+    the lazy failing witnesses in sweep order."""
     _require_axiom(axiom_id)
-    if axiom_id in SWEPT_AXIOMS:
-        if delta is not None:
-            delta = _exact(delta)
-    elif delta is not None:
+    if delta is not None and axiom_id not in SWEPT_AXIOMS:
         raise ValueError(f"axiom {axiom_id} takes no delta threshold")
+    delta = None if delta is None else _exact(delta)
     _check_cap(universe.size, EXHAUSTIVE_CAP, f"the {axiom_id} sweep")
     masks = range(universe.full_mask + 1)
     params = [("kappa", kappa.describe())]
@@ -624,12 +612,42 @@ def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
         deltas = tuple(d for d in deltas
                        if any(test(d, *ms) for ms in types))
     instances = _INSTANCES[axiom_id]
-    failures = ((ms, d) for d in deltas for ms in instances(masks, val, one)
-                if test(d, *ms))
-    return _sweep_report(axiom_id, (
+    return deltas, tuple(params), (
         tuple(binding(k, ESet(universe, m)) for k, m in zip(names, ms))
         + ((("delta", (labels[d],)),) if d is not None else ())
-        for ms, d in failures), universe.size, tuple(params))
+        for d in deltas for ms in instances(masks, val, one) if test(d, *ms))
+
+
+def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
+                delta: Fraction | None = None) -> CheckReport:
+    """Exhaustively test one axiom for ``kappa`` over a finite universe.
+
+    Swept axioms (RV, RI, RI-np) quantify over a threshold as well: pass
+    ``delta`` to pin it, or leave it None to decide every threshold. An
+    instance that fails at some threshold also fails at one of the
+    measure's own values: at val(b, c) for RV, and at the smaller of
+    val(a, c) and val(b, c) for RI and RI-np. So the sweep runs over the
+    distinct values on the pairs those instances read, in ascending order:
+    (x, c) with c inside x for RV and RI, and every pair for RI-np.
+
+    An invariant measure is first tested at one instance per Venn-count
+    type of the bound sets at each threshold, and only the thresholds
+    where some type fails are kept; if none is, the axiom holds without a
+    mask sweep. The masks are then swept, as for any other measure, in
+    the order of ``_INSTANCES`` at the kept thresholds, and the first
+    failures are kept.
+    """
+    _, params, failures = _axiom_failures(kappa, axiom_id, universe, delta)
+    return _sweep_report(axiom_id, failures, universe.size, params)
+
+
+def _axiom_holds(kappa: InclusionFn, axiom_id: str, universe: Universe,
+                 delta: Fraction | None = None) -> bool:
+    """``check_axiom(...).holds`` without the witnesses. The type screen
+    decides an invariant measure exactly, so no mask is swept for it; any
+    other measure's sweep stops at its first failure."""
+    kept, _, failures = _axiom_failures(kappa, axiom_id, universe, delta)
+    return not kept if kappa.invariant else next(failures, None) is None
 
 
 def classify_rif(kappa: InclusionFn, universe: Universe) -> tuple[str, ...]:
@@ -640,8 +658,8 @@ def classify_rif(kappa: InclusionFn, universe: Universe) -> tuple[str, ...]:
     class trades the monotony for its order form; the precision class asks
     for the chain-stability axiom at every threshold.
     """
-    return _rif_classes(functools.cache(lambda axiom: check_axiom(
-        kappa, axiom, universe).holds))
+    return _rif_classes(functools.cache(
+        lambda axiom: _axiom_holds(kappa, axiom, universe)))
 
 
 def _rif_classes(holds: Callable[[str], bool]) -> tuple[str, ...]:
@@ -672,7 +690,7 @@ def check_prif_implications(kappa: InclusionFn,
     property of ``kappa``. The reports carry the individual axiom verdicts
     in their parameters so a violation is diagnosable.
     """
-    t = {axiom: check_axiom(kappa, axiom, universe).holds
+    t = {axiom: _axiom_holds(kappa, axiom, universe)
          for axiom in _IMPLICATION_AXIOMS}
 
     implications = (

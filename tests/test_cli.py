@@ -172,14 +172,19 @@ def test_axioms_reuse_their_verdicts_for_the_classes(tmp_path, capsys,
                                                      monkeypatch, extra,
                                                      checks):
     calls = []
-    real = inclusion.check_axiom
 
-    def counting(kappa, axiom, universe, **kw):
-        calls.append(axiom)
-        return real(kappa, axiom, universe, **kw)
+    def counting(real):
+        def decide(kappa, axiom, universe, *args, **kw):
+            calls.append(axiom)
+            return real(kappa, axiom, universe, *args, **kw)
+        return decide
 
-    monkeypatch.setattr(cli, "check_axiom", counting)
-    monkeypatch.setattr(inclusion, "check_axiom", counting)
+    # The report rows come from check_axiom, the extra class verdicts
+    # from the verdict-only helper.
+    for name in ("check_axiom", "_axiom_holds"):
+        recorder = counting(getattr(inclusion, name))
+        monkeypatch.setattr(cli, name, recorder)
+        monkeypatch.setattr(inclusion, name, recorder)
     spec = write_spec(tmp_path, {"universe": ["e1", "e2", "e3"], **extra})
     code, out, _ = run(capsys, "axioms", "--spec", spec, "--format", "json")
     assert code == 0 and len(calls) == checks

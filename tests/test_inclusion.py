@@ -29,7 +29,7 @@ from roughpart import (
 )
 import roughpart.inclusion as inclusion
 from roughpart.inclusion import SWEPT_AXIOMS
-from conftest import subsets_by_label
+from conftest import operator_pairs, subsets_by_label
 
 
 def test_share_measure_spot_values(std):
@@ -82,6 +82,43 @@ def test_granulation_aware_measures(std):
     assert eval_cgrif(a, top, "u", "l", lo, up) == Fraction(3, 2)
 
 
+@pytest.mark.parametrize("evaluate", [eval_bgrif, eval_cgrif])
+def test_granular_measures_refuse_mixed_universes_and_bad_sides(evaluate):
+    u = Universe(("e1", "e2", "e3"))
+    v = Universe(("f1", "f2", "f3"))
+    a, b = u.subset(("e1",)), u.subset(("e2",))
+    same = lambda x: x
+    elsewhere = lambda x: ESet(v, x.mask | 1)
+    with pytest.raises(ValueError, match="different universes"):
+        evaluate(a, v.subset(("f2",)), "l", "u", same, same)
+    # A lower operator that answers in another universe, read against
+    # the upper image of the second argument.
+    with pytest.raises(ValueError, match="different universes"):
+        evaluate(a, b, "l", "u", elsewhere, same)
+    for sigma, pi in (("x", "u"), ("l", "b"), ("", "l")):
+        with pytest.raises(ValueError, match="approximation side"):
+            evaluate(a, b, sigma, pi, same, same)
+
+
+@settings(max_examples=60, deadline=None)
+@given(operator_pairs(), st.data())
+def test_granular_measures_match_plain_fractions(ops, data):
+    """Both granular measures equal a Fraction over member sets, for the
+    classical pair and for image tables that obey no law."""
+    u, _, lo, up = ops
+    a, b = (ESet(u, data.draw(st.integers(0, u.full_mask)))
+            for _ in range(2))
+    ops = {"l": lambda x: ESet(u, lo[x.mask]),
+           "u": lambda x: ESet(u, up[x.mask])}
+    for sigma, pi in itertools.product("lu", repeat=2):
+        fa, fb = set(ops[sigma](a)), set(ops[pi](b))
+        da = set(ops[pi](a))
+        want_b = Fraction(len(fa & fb), len(fa)) if fa else 1
+        want_c = Fraction(len(fa & fb), len(da)) if da else 1
+        assert eval_bgrif(a, b, sigma, pi, ops["l"], ops["u"]) == want_b
+        assert eval_cgrif(a, b, sigma, pi, ops["l"], ops["u"]) == want_c
+
+
 def test_k0_lands_in_every_class():
     u = Universe(("e1", "e2", "e3", "e4"))
     assert classify_rif(kappa_k0(), u) == ("gRIF", "pRIF", "qRIF", "wqRIF")
@@ -89,13 +126,13 @@ def test_k0_lands_in_every_class():
 
 def test_classify_rif_decides_each_axiom_once(monkeypatch):
     calls = []
-    real = inclusion.check_axiom
+    real = inclusion._axiom_holds
 
-    def recording(kappa, axiom_id, universe, **kw):
+    def recording(kappa, axiom_id, universe, *args):
         calls.append(axiom_id)
-        return real(kappa, axiom_id, universe, **kw)
+        return real(kappa, axiom_id, universe, *args)
 
-    monkeypatch.setattr(inclusion, "check_axiom", recording)
+    monkeypatch.setattr(inclusion, "_axiom_holds", recording)
     u = Universe(("e1", "e2", "e3"))
     assert classify_rif(kappa_k0(), u) == ("gRIF", "pRIF", "qRIF", "wqRIF")
     assert calls == ["R0", "IR0", "R2", "R3", "RV"]
@@ -369,6 +406,45 @@ def test_a_holding_invariant_verdict_starts_no_mask_sweep(monkeypatch):
     with pytest.raises(AssertionError, match="mask sweep"):
         check_axiom(kappa_k0(), "R6", universe)
 
+
+
+@pytest.mark.parametrize("kappa", _SHIPPED, ids=InclusionFn.describe)
+def test_verdict_helper_agrees_with_the_report(kappa):
+    """The verdict-only helper gives ``check_axiom(...).holds`` for every
+    axiom, on the type screen of the invariant measure and on the mask
+    sweep of its plain copy, with the threshold swept or pinned."""
+    plain = dataclasses.replace(kappa, invariant=False)
+    for size in range(6):
+        universe = Universe(tuple("pqrst"[:size]))
+        for axiom in VALID_AXIOMS:
+            for delta in (None, Fraction(1, 3), Fraction(3, 10)) \
+                    if axiom in SWEPT_AXIOMS else (None,):
+                for measure in (kappa, plain):
+                    assert inclusion._axiom_holds(
+                        measure, axiom, universe, delta) == check_axiom(
+                        measure, axiom, universe, delta=delta).holds, \
+                        (measure.invariant, size, axiom, delta)
+
+
+def test_verdict_only_callers_start_no_mask_sweep(monkeypatch):
+    """Kst(1/5,4/5) fails R2 and five more axioms on five elements, and
+    the class tags and the implication verdicts still come from the Venn
+    types alone."""
+    def refuse(masks, val, one):
+        raise AssertionError("the mask sweep started")
+
+    universe = Universe(("p", "q", "r", "s", "t"))
+    kappa = kappa_st("1/5", "4/5")
+    for axiom in VALID_AXIOMS:
+        monkeypatch.setitem(inclusion._INSTANCES, axiom, refuse)
+    assert classify_rif(kappa, universe) == ("pRIF", "wqRIF")
+    reports = check_prif_implications(kappa, universe)
+    assert all(r.holds and not r.witnesses for r in reports)
+    assert dict(reports[0].parameters) == {
+        "kappa": "Kst(s=1/5,t=4/5,base=K0)", "IR0": "false",
+        "IR4": "true", "R0": "true", "R1": "false", "R2": "false",
+        "R3": "true", "R4": "false", "R5": "false", "R6": "false",
+        "RB": "true", "U1": "true"}
 
 
 def test_a_failing_invariant_verdict_sweeps_only_failing_thresholds(

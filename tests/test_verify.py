@@ -360,6 +360,74 @@ def test_sweeps_count_and_fail_like_plain_loops(fx, kappa, alpha):
         assert ev.gates == gates
 
 
+def _route_agreement():
+    (outcome,) = [o for o in run_theorem_suite("grif").outcomes
+                  if o.clause == "route-agreement"]
+    return outcome
+
+
+def test_route_agreement_calls_the_public_route_on_every_sample(
+        monkeypatch):
+    """route-agreement evaluates 4·min(2^n, 16)² sampled (a, b, form)
+    triples per fixture, each through the public route."""
+    calls = []
+    real = verify.eval_bgrif
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verify, "eval_bgrif", counting)
+    total = 0
+    for fixture in battery():
+        calls.clear()
+        (ev,) = [ev for ev in verify._grif_check(fixture)
+                 if ev.clause == "route-agreement"]
+        assert list(ev.ces) == []
+        want = 4 * min(fixture.universe.full_mask + 1, 16) ** 2
+        assert len(calls) == ev.checked == want, fixture.name
+        total += want
+    assert total == 42240
+
+
+def test_route_agreement_refutes_a_wrong_public_route(monkeypatch):
+    """A public route off by 1/7 at one sampled pair, or giving 0 on an
+    empty sigma-image, refutes route-agreement with that pair first."""
+    real = verify.eval_bgrif
+
+    def off_by_a_seventh(a, b, sigma, pi, lower, upper):
+        value = real(a, b, sigma, pi, lower, upper)
+        hit = a.universe.size == 5 and (a.mask, b.mask, sigma + pi) \
+            == (6, 11, "ul")
+        return value + Fraction(1, 7) if hit else value
+
+    monkeypatch.setattr(verify, "eval_bgrif", off_by_a_seventh)
+    outcome = _route_agreement()
+    u5 = Universe(("e1", "e2", "e3", "e4", "e5"))
+    assert not outcome.holds
+    # The first fixture on five elements is the battery's third.
+    assert outcome.counterexamples[0] == Counterexample(
+        "rnd-002-n5", "nu", "", (("a", ESet(u5, 6).members),
+                                 ("b", ESet(u5, 11).members),
+                                 ("form", ("ul",))))
+
+    empty = []
+
+    def zero_on_empty(a, b, sigma, pi, lower, upper):
+        if (lower if sigma == "l" else upper)(a).is_empty:
+            empty.append((a, b, sigma + pi))
+            return Fraction(0)
+        return real(a, b, sigma, pi, lower, upper)
+
+    monkeypatch.setattr(verify, "eval_bgrif", zero_on_empty)
+    outcome = _route_agreement()
+    a, b, form = empty[0]
+    assert not outcome.holds
+    assert outcome.counterexamples[0] == Counterexample(
+        "standard", "nu", "", (("a", a.members), ("b", b.members),
+                               ("form", (form,))))
+
+
 def test_merge_takes_five_counterexamples_and_starts_no_later_check():
     ce = Counterexample("f", "K0", "1/5", (("a", ("e1",)),))
 
