@@ -9,10 +9,10 @@ it with ``analyze_properties``, at α = 1/5 under K0 with grade k = 2, on
 runs go one after another, each stopped after ``TIMEOUT_S`` seconds. One
 Markdown row per run gives the build and analysis seconds, the peak
 resident memory of its process, and that peak's growth over the peak read
-just before the build, or the timeout. The peak of a whole process moves
-by several MB with allocator layout between runs of the same code; the
-growth leaves out the interpreter, the imports and the granulation, so it
-compares the build and analysis alone.
+just before the build, or the timeout. The growth leaves out what the
+interpreter, the imports and the granulation hold. Both memory columns
+still move by a few MB with allocator layout, so neither shows a smaller
+change in memory.
 """
 
 from __future__ import annotations
