@@ -50,6 +50,8 @@ def _exact(value: object) -> Fraction:
     """A threshold as an exact fraction: a ``Fraction``, an ``int`` or a
     fraction string. A float holds only the nearest binary value of a
     decimal such as 0.2, so it is refused, and so is a ``bool``."""
+    if type(value) is Fraction:
+        return value
     if isinstance(value, (Fraction, int, str)) and \
             not isinstance(value, bool):
         try:
@@ -229,19 +231,28 @@ def _grow(meets: list[int], plane: tuple[int, int]) -> list[int]:
             meets[-1] & high]
 
 
-def _meet_vectors(size: int) -> Iterator[tuple[int, list[int]]]:
-    """Every mask a of a ``size``-element universe with its meet vector,
-    whose entry i is the bitset of the b with |a∩b| = i. The walk is
-    depth first, and grows a only by elements above its highest bit, so
-    each mask is built once, from its parent, and the stack holds O(n²)
-    vectors."""
+@functools.cache
+def _swaps(size: int) -> dict[tuple[int, int], int]:
+    """Per pair of elements i < j, the bitset of masks with i and not j."""
     planes = _bit_planes(size)
-    stack = [(0, [(1 << (1 << size)) - 1])]
-    while stack:
-        am, meets = stack.pop()
-        yield am, meets
-        stack.extend((am | 1 << e, _grow(meets, planes[1 << e]))
-                     for e in range(am.bit_length(), size))
+    return {(i, j): planes[1 << i][0] & planes[1 << j][1]
+            for j in range(size) for i in range(j)}
+
+
+def _parent(am: int) -> tuple[int, int, int]:
+    """A mask that is not a prefix {0..p-1} with its highest element j
+    moved down to its lowest gap i (same size, smaller mask), i and j."""
+    j = am.bit_length() - 1
+    i = (~am & (am + 1)).bit_length() - 1
+    return am ^ (1 << j) ^ (1 << i), i, j
+
+
+def _swap(row: int, i: int, j: int, swaps: dict) -> int:
+    """``row`` with the bits of masks b and (i j)·b exchanged, for i < j:
+    one delta swap."""
+    shift = (1 << j) - (1 << i)
+    t = (row ^ row >> shift) & swaps[i, j]
+    return row ^ t ^ t << shift
 
 
 def venn_rows(size: int, test: Callable[[int, int, int], bool]
@@ -249,21 +260,26 @@ def venn_rows(size: int, test: Callable[[int, int, int], bool]
     """Bitset rows over the masks of a ``size``-element universe: bit
     ``b`` of row ``a`` is set exactly when ``test(|a|, |a∩b|, |b∖a|)``.
 
-    A pair (a, b) with |a∩b| = i has |b∖a| = |b| − i, so row a is the OR,
-    over i, of entry i of a's meet vector masked by ``keep[|a|][i]``: the
-    sets of every size i + y at which the test passes. The test runs once
-    per count triple, and each row costs a few big-int operations on 2^n
-    bits instead of a test per pair."""
+    The test runs once per count triple. The row of a prefix {0..p-1} is
+    the OR over i of entry i of its meet vector (the b meeting it in i
+    elements) masked by ``keep[p][i]``, the sets of every size i + y at
+    which the test passes. Any other row is its parent's (:func:`_parent`)
+    under one delta swap: a few big-int operations on 2^n bits."""
     planes = _bit_planes(size)
-    layers = [(1 << (1 << size)) - 1]
+    chain = [[(1 << (1 << size)) - 1]]
     for e in range(size):  # up to the full set's vector: sets by size
-        layers = _grow(layers, planes[1 << e])
-    keep = [[sum(layers[i + y] for y in range(size - p + 1) if test(p, i, y))
+        chain.append(_grow(chain[-1], planes[1 << e]))
+    keep = [[sum(chain[-1][i + y] for y in range(size - p + 1)
+                 if test(p, i, y))
              for i in range(p + 1)] for p in range(size + 1)]
     rows = [0] * (1 << size)
-    for am, meets in _meet_vectors(size):
-        rows[am] = sum(m & k for m, k in zip(meets, keep[len(meets) - 1])
-                       if k)
+    for p, meets in enumerate(chain):
+        rows[(1 << p) - 1] = sum(m & k for m, k in zip(meets, keep[p]) if k)
+    swaps = _swaps(size)
+    for am in range(1 << size):
+        if am & (am + 1):
+            parent, i, j = _parent(am)
+            rows[am] = _swap(rows[parent], i, j, swaps)
     return tuple(rows)
 
 

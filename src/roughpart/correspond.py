@@ -96,10 +96,12 @@ def _build(universe: Universe, granulation: Granulation, alpha: Fraction,
     tables = vprs_tables(granulation, kappa_k0(), alpha)
     via_measure = tables.star_upper if side == "upper" else tables.star_lower
     thresh = upper_threshold if side == "upper" else lower_threshold
+    by_size = [thresh(ESet(universe, (1 << p) - 1), alpha)
+               for p in range(universe.size + 1)]
     by_threshold: dict[int, list[tuple[ESet, bool]]] = {}
     for m, image in enumerate(via_measure):
         x = ESet(universe, m)
-        t = thresh(x, alpha)
+        t = by_size[m.bit_count()]
         via_count = granulation.union(lambda g: (g & m).bit_count() >= t)
         by_threshold.setdefault(t, []).append((x, image == via_count))
     blocks = []
@@ -117,7 +119,7 @@ def _build(universe: Universe, granulation: Granulation, alpha: Fraction,
         total = universe.full_mask + 1
         for m, image in enumerate(via_measure):
             x = ESet(universe, m)
-            deficit = x.cardinality - lower_threshold(x, alpha)
+            deficit = x.cardinality - by_size[x.cardinality]
             if graded_lower(x, granulation, deficit).mask == image:
                 agree += 1
         note += (f"; deficit literal agrees with the measure route on "

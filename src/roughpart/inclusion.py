@@ -230,9 +230,10 @@ def _granule_ranks(granulation: Granulation, fn: MaskFn,
     return values, tuple(columns)
 
 
-def _same_universe(a: ESet, b: ESet) -> None:
-    if a.universe is not b.universe and a.universe != b.universe:
-        raise ValueError("subsets belong to different universes")
+def _same_universe(a: ESet, *others: ESet) -> None:
+    for b in others:
+        if a.universe is not b.universe and a.universe != b.universe:
+            raise ValueError("subsets belong to different universes")
 
 
 def _k0_masks(universe: Universe, am: int, bm: int) -> Fraction:
@@ -309,6 +310,9 @@ def kappa_st(s: Fraction | int | str, t: Fraction | int | str,
 
 _SIDES = ("l", "u")
 
+# The value of a granular measure, one Fraction per (overlap, size).
+_ratio = functools.cache(Fraction)
+
 
 def _pick(side: str, lower: Callable[[ESet], ESet],
           upper: Callable[[ESet], ESet]) -> Callable[[ESet], ESet]:
@@ -326,10 +330,11 @@ def eval_bgrif(a: ESet, b: ESet, sigma: str, pi: str,
     _same_universe(a, b)
     fa = _pick(sigma, lower, upper)(a)
     fb = _pick(pi, lower, upper)(b)
+    if not (fa.universe is fb.universe is a.universe):
+        _same_universe(a, fa, fb)
     if fa.is_empty:
         return ONE
-    _same_universe(fa, fb)
-    return Fraction((fa.mask & fb.mask).bit_count(), fa.cardinality)
+    return _ratio((fa.mask & fb.mask).bit_count(), fa.cardinality)
 
 
 def eval_cgrif(a: ESet, b: ESet, sigma: str, pi: str,
@@ -343,10 +348,11 @@ def eval_cgrif(a: ESet, b: ESet, sigma: str, pi: str,
     fa = _pick(sigma, lower, upper)(a)
     fb = _pick(pi, lower, upper)(b)
     da = _pick(pi, lower, upper)(a)
+    if not (fa.universe is fb.universe is da.universe is a.universe):
+        _same_universe(a, fa, fb, da)
     if da.is_empty:
         return ONE
-    _same_universe(fa, fb)
-    return Fraction((fa.mask & fb.mask).bit_count(), da.cardinality)
+    return _ratio((fa.mask & fb.mask).bit_count(), da.cardinality)
 
 
 def dependence_degree(a: ESet, b: ESet) -> Fraction:
@@ -433,20 +439,38 @@ def _venn_types(size: int, arity: int) -> tuple[tuple[int, ...], ...]:
     """One mask tuple per Venn-count type of ``arity`` subsets of a
     ``size``-element universe, empty regions included. Region r holds the
     elements in exactly the sets j with bit j of r set, and is a block of
-    consecutive bits; the block sizes run over every way to split
-    ``size`` into 2^arity parts."""
-    regions = 1 << arity
-    members = [[r for r in range(regions) if r >> j & 1]
-               for j in range(arity)]
-    types = []
-    for bars in itertools.combinations(range(size + regions - 1),
-                                       regions - 1):
-        # Bit edges[r] starts region r's block; the r-th bar sits after it.
-        edges = [1, *(1 << (bar - r) for r, bar in enumerate(bars)),
-                 1 << size]
-        types.append(tuple(sum(edges[r + 1] - edges[r] for r in rs)
-                           for rs in members))
-    return tuple(types)
+    consecutive bits. Regions are laid down one level at a time, in every
+    size that fits, so the splits of ``size`` come in lexicographic order;
+    the last lies in every set and takes the rest. Set j's partial mask
+    sits in bits j·(size + 1) up of one int."""
+    width, last = size + 1, (1 << arity) - 1
+    level = [(0, 0)]
+    for r in range(last):
+        spread = sum(1 << j * width for j in range(arity) if r >> j & 1)
+        level = [(at + k, bits | ((1 << k) - 1 << at) * spread)
+                 for at, bits in level for k in range(size - at + 1)]
+    full, rest = (1 << size) - 1, sum(1 << j * width for j in range(arity))
+    shifts = range(0, arity * width, width)
+    return tuple(tuple([bits >> s & full for s in shifts]) for bits in
+                 (bits | (full >> at << at) * rest for at, bits in level))
+
+
+@functools.cache
+def _failing_spans(fn: MaskFn, axiom_id: str, size: int
+                   ) -> tuple[tuple[int, int], ...]:
+    """The distinct nonempty spans (lo, hi] of threshold ranks at which a
+    Venn type fails the swept ``axiom_id`` under the invariant ``fn``:
+    (val(a, c), val(b, c)] for RV if c ⊆ a ⊆ b, and (val(a∩b, c),
+    min(val(a, c), val(b, c))] for RI if c ⊆ a∩b, and for RI-np."""
+    _, val = _rank_table(fn, size)
+    spans = set()
+    for a, b, c in _venn_types(size, 3):
+        if axiom_id == "RV":
+            if not c & ~a and not a & ~b:
+                spans.add((val(a, c), val(b, c)))
+        elif axiom_id == "RI-np" or not c & ~(a & b):
+            spans.add((val(a & b, c), min(val(a, c), val(b, c))))
+    return tuple(sorted((lo, hi) for lo, hi in spans if lo < hi))
 
 
 _INSTANCE_VARS = {
@@ -604,13 +628,16 @@ def _axiom_failures(kappa: InclusionFn, axiom_id: str, universe: Universe,
         deltas, labels = (None,), {}
     names = _INSTANCE_VARS[axiom_id]
     test = _failure_test(axiom_id, val, one, zero, comp, universe.full_mask)
-    # An invariant measure's verdict on an instance depends only on the
-    # Venn counts of its sets, so one instance per count type decides each
-    # threshold; masks are swept for witnesses only where some type fails.
-    if kappa.invariant:
-        types = _venn_types(universe.size, len(names))
+    # An invariant measure's verdict depends only on Venn counts: a swept
+    # axiom keeps the thresholds inside some type's failing span, and any
+    # other runs its test once per type. Masks are swept at those kept.
+    if kappa.invariant and axiom_id in SWEPT_AXIOMS:
+        spans = _failing_spans(kappa.fn, axiom_id, universe.size)
         deltas = tuple(d for d in deltas
-                       if any(test(d, *ms) for ms in types))
+                       if any(lo < d <= hi for lo, hi in spans))
+    elif kappa.invariant and not any(
+            test(None, *ms) for ms in _venn_types(universe.size, len(names))):
+        deltas = ()
     instances = _INSTANCES[axiom_id]
     return deltas, tuple(params), (
         tuple(binding(k, ESet(universe, m)) for k, m in zip(names, ms))
@@ -630,12 +657,12 @@ def check_axiom(kappa: InclusionFn, axiom_id: str, universe: Universe, *,
     distinct values on the pairs those instances read, in ascending order:
     (x, c) with c inside x for RV and RI, and every pair for RI-np.
 
-    An invariant measure is first tested at one instance per Venn-count
-    type of the bound sets at each threshold, and only the thresholds
-    where some type fails are kept; if none is, the axiom holds without a
-    mask sweep. The masks are then swept, as for any other measure, in
-    the order of ``_INSTANCES`` at the kept thresholds, and the first
-    failures are kept.
+    An invariant measure is first decided per Venn-count type of the
+    bound sets: a swept axiom keeps the thresholds inside some type's
+    span (:func:`_failing_spans`), any other tests each type once; if
+    nothing is kept, the axiom holds without a mask sweep. The masks are
+    then swept, as for any other measure, in the order of ``_INSTANCES``
+    at the kept thresholds, and the first failures are kept.
     """
     _, params, failures = _axiom_failures(kappa, axiom_id, universe, delta)
     return _sweep_report(axiom_id, failures, universe.size, params)

@@ -27,7 +27,7 @@ from roughpart import (
     vprs_upper,
 )
 from roughpart.approx import require_alpha
-from roughpart.core import _meet_vectors, venn_rows
+from roughpart.core import _exact, _parent, _swap, _swaps, venn_rows
 from conftest import operator_pairs
 
 U6 = Universe(("a", "b", "c", "d", "e", "f"))
@@ -319,6 +319,14 @@ def test_thresholds_are_exact(call):
             call(bad)
 
 
+def test_an_exact_threshold_is_returned_as_it_is():
+    """A Fraction needs no rebuilding; every other accepted form is
+    rebuilt as an equal Fraction."""
+    fifth = Fraction(1, 5)
+    assert _exact(fifth) is fifth
+    assert _exact("1/5") == fifth and type(_exact(3)) is Fraction
+
+
 
 _RANDOM_COUNTS = random.Random(5)
 _VENN_TABLE = {(p, i, y): _RANDOM_COUNTS.random() < 0.5
@@ -355,17 +363,42 @@ def test_venn_rows_ask_each_count_triple_once():
                    for p, i, y in asked), size
 
 
-def test_meet_vectors_visit_each_mask_once_with_its_meet_counts():
-    """The walk yields every mask exactly once, and entry i of its vector
-    is the bitset of the b meeting it in i elements."""
-    for size in range(7):
-        masks = range(1 << size)
-        seen = {}
-        for am, meets in _meet_vectors(size):
-            assert am not in seen, (size, am)
-            seen[am] = meets
-        assert sorted(seen) == list(masks), size
-        for am, meets in seen.items():
-            assert meets == [
-                sum(1 << bm for bm in masks if (am & bm).bit_count() == i)
-                for i in range(am.bit_count() + 1)], (size, am)
+_NINE_RANDOM = random.Random(9)
+_NINE_TABLE = {(p, i, y): _NINE_RANDOM.random() < 0.5
+               for p in range(10) for i in range(10) for y in range(10)}
+
+
+def _plain_row(size, test, am):
+    return sum(1 << bm for bm in range(1 << size)
+               if test(am.bit_count(), (am & bm).bit_count(),
+                       (bm & ~am).bit_count()))
+
+
+@pytest.mark.parametrize("test", [
+    lambda p, i, y: i == p,
+    lambda p, i, y: _NINE_TABLE[p, i, y],
+], ids=["inside", "table"])
+def test_venn_rows_match_a_plain_double_loop_on_nine_elements(test):
+    """The plain double loop of the test above at n = 9, where all but
+    ten rows come from a parent's row by a swap."""
+    assert venn_rows(9, test) == tuple(_plain_row(9, test, am)
+                                       for am in range(1 << 9))
+
+
+def test_transposition_parents_swap_plain_rows():
+    """Every mask that is not a prefix {0..p-1} has a parent of the same
+    size and a smaller mask, and one delta swap over the two elements
+    exchanged takes the parent's plain-loop row to the mask's own."""
+    def test(p, i, y):
+        return _VENN_TABLE[p, i, y]
+
+    for size in range(9):
+        swaps = _swaps(size)
+        for am in range(1 << size):
+            if am & (am + 1) == 0:
+                continue
+            parent, i, j = _parent(am)
+            assert parent.bit_count() == am.bit_count(), (size, am)
+            assert parent < am and i < j, (size, am)
+            assert _swap(_plain_row(size, test, parent), i, j, swaps) \
+                == _plain_row(size, test, am), (size, am)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from fractions import Fraction
 
@@ -95,6 +96,15 @@ def test_granular_measures_refuse_mixed_universes_and_bad_sides(evaluate):
     # the upper image of the second argument.
     with pytest.raises(ValueError, match="different universes"):
         evaluate(a, b, "l", "u", elsewhere, same)
+    # Both images in one other universe: they agree with each other but
+    # not with the arguments.
+    with pytest.raises(ValueError, match="different universes"):
+        evaluate(a, a, "l", "l", elsewhere, elsewhere)
+    # An empty image of another universe, in front of the empty return.
+    nowhere = lambda x: v.empty
+    for sigma, pi in (("l", "u"), ("u", "l")):
+        with pytest.raises(ValueError, match="different universes"):
+            evaluate(a, b, sigma, pi, nowhere, same)
     for sigma, pi in (("x", "u"), ("l", "b"), ("", "l")):
         with pytest.raises(ValueError, match="approximation side"):
             evaluate(a, b, sigma, pi, same, same)
@@ -447,48 +457,110 @@ def test_verdict_only_callers_start_no_mask_sweep(monkeypatch):
         "RB": "true", "U1": "true"}
 
 
+def _bars_and_combinations(size, arity):
+    """The Venn types as the engine once generated them: one choice of
+    2^arity − 1 bar positions per type, region r the block of bits
+    between bars r − 1 and r."""
+    regions = 1 << arity
+    members = [[r for r in range(regions) if r >> j & 1]
+               for j in range(arity)]
+    types = []
+    for bars in itertools.combinations(range(size + regions - 1),
+                                       regions - 1):
+        edges = [1, *(1 << (bar - r) for r, bar in enumerate(bars)),
+                 1 << size]
+        types.append(tuple(sum(edges[r + 1] - edges[r] for r in rs)
+                           for rs in members))
+    return tuple(types)
+
+
+def test_venn_types_keep_the_bars_and_combinations_order():
+    for size in range(9):
+        for arity in range(4):
+            assert inclusion._venn_types(size, arity) \
+                == _bars_and_combinations(size, arity), (size, arity)
+
+
+def _screen(kappa, axiom, size, thetas):
+    """The thresholds among ``thetas`` at which some Venn type of three
+    sets fails the swept ``axiom``, tested one threshold at a time on
+    ``Fraction`` values."""
+    universe = Universe(tuple("pqrstu"[:size]))
+    val = functools.partial(kappa.on_masks, universe)
+    cases = set()
+    for a, b, c in _bars_and_combinations(size, 3):
+        premise = {"RV": not c & ~a and not a & ~b,
+                   "RI": not c & ~(a & b), "RI-np": True}[axiom]
+        if premise:
+            cases.add((val(b if axiom == "RV" else a, c),
+                       val(b, c), val(a if axiom == "RV" else a & b, c)))
+    # RV fails where val(b, c) >= d > val(a, c); RI and RI-np where
+    # val(a, c) and val(b, c) reach d and val(a∩b, c) does not.
+    return {d for d in thetas
+            if any(x >= d and y >= d and z < d for x, y, z in cases)}
+
+
+def _swept_thresholds(kappa, axiom, size):
+    universe = Universe(tuple("pqrstu"[:size]))
+    masks = range(universe.full_mask + 1)
+    return {kappa.on_masks(universe, x, c) for x in masks for c in masks
+            if axiom == "RI-np" or not c & ~x}
+
+
+@pytest.mark.parametrize("kappa", _SHIPPED, ids=InclusionFn.describe)
+def test_failing_spans_keep_the_screened_thresholds(kappa):
+    """The thresholds kept from the failing spans are those at which a
+    per-threshold screen over the Venn types finds a failing type: over
+    the whole sweep, and with the threshold pinned at each value of the
+    measure, at 0, 1/3 and 1."""
+    for size in range(7):
+        universe = Universe(tuple("pqrstu"[:size]))
+        values = inclusion._rank_table(kappa.fn, size)[0]
+        pinned = set(values) | {Fraction(0), Fraction(1, 3), Fraction(1)}
+        for axiom in SWEPT_AXIOMS:
+            thetas = _swept_thresholds(kappa, axiom, size)
+            kept, _, _ = inclusion._axiom_failures(kappa, axiom, universe,
+                                                   None)
+            assert [values[d] for d in kept] == sorted(
+                _screen(kappa, axiom, size, thetas)), (size, axiom)
+            failing = _screen(kappa, axiom, size, pinned)
+            for delta in sorted(pinned):
+                kept, _, _ = inclusion._axiom_failures(
+                    kappa, axiom, universe, delta)
+                assert bool(kept) == (delta in failing), (size, axiom, delta)
+
+
 def test_a_failing_invariant_verdict_sweeps_only_failing_thresholds(
         monkeypatch):
     """The mask sweep of a failing verdict evaluates instances only at the
-    thresholds at which some Venn type fails. On four elements each of
-    these measures fails some swept axiom, and has swept thresholds at
-    which no type fails."""
-    calls, sweeping = [], []
+    thresholds at which the per-threshold screen finds a failing type.
+    On four elements each of these measures fails some swept axiom, and
+    has swept thresholds at which no type fails."""
+    calls = []
     real_test = inclusion._failure_test
 
     def recording_test(*args):
         test = real_test(*args)
 
         def record(d, *masks):
-            failed = test(d, *masks)
-            calls.append((bool(sweeping), d, failed))
-            return failed
+            calls.append(d)
+            return test(d, *masks)
         return record
 
-    def recording_instances(real):
-        def instances(masks, val, one):
-            sweeping.append(True)
-            return real(masks, val, one)
-        return instances
-
     monkeypatch.setattr(inclusion, "_failure_test", recording_test)
-    for axiom in SWEPT_AXIOMS:
-        monkeypatch.setitem(inclusion._INSTANCES, axiom, recording_instances(
-            inclusion._INSTANCES[axiom]))
     universe = Universe(("p", "q", "r", "s"))
     spared = 0
     for kappa in (kappa_k0(), kappa_k1(), kappa_st("1/5", "4/5"), _TOP_ONLY):
+        values = inclusion._rank_table(kappa.fn, universe.size)[0]
         for axiom in SWEPT_AXIOMS:
             calls.clear()
-            sweeping.clear()
             if check_axiom(kappa, axiom, universe).holds:
                 continue
-            typed = {d for swept, d, _ in calls if not swept}
-            failing = {d for swept, d, failed in calls
-                       if not swept and failed}
-            swept = {d for swept, d, _ in calls if swept}
+            thetas = _swept_thresholds(kappa, axiom, universe.size)
+            failing = _screen(kappa, axiom, universe.size, thetas)
+            swept = {values[d] for d in calls}
             assert swept and swept <= failing, (kappa.describe(), axiom)
-            spared += len(typed - failing)
+            spared += len(thetas - failing)
     assert spared
 
 
