@@ -488,14 +488,13 @@ def _screen(kappa, axiom, size, thetas):
     universe = Universe(tuple("pqrstu"[:size]))
     val = functools.partial(kappa.on_masks, universe)
     cases = set()
+    # A case (x, y, z) fails at d when x and y reach d and z does not.
     for a, b, c in _bars_and_combinations(size, 3):
-        premise = {"RV": not c & ~a and not a & ~b,
-                   "RI": not c & ~(a & b), "RI-np": True}[axiom]
-        if premise:
-            cases.add((val(b if axiom == "RV" else a, c),
-                       val(b, c), val(a if axiom == "RV" else a & b, c)))
-    # RV fails where val(b, c) >= d > val(a, c); RI and RI-np where
-    # val(a, c) and val(b, c) reach d and val(a∩b, c) does not.
+        if axiom == "RV":
+            if not c & ~a and not a & ~b:
+                cases.add((val(b, c), val(b, c), val(a, c)))
+        elif axiom == "RI-np" or not c & ~(a & b):
+            cases.add((val(a, c), val(b, c), val(a & b, c)))
     return {d for d in thetas
             if any(x >= d and y >= d and z < d for x, y, z in cases)}
 
